@@ -91,12 +91,9 @@ class StoreBackend:
     and knows nothing about RunResults, digests or fingerprints — that
     policy lives in the store, which is what keeps integrity guarantees
     identical across backends.  Implementations must tolerate concurrent
-    writers across processes: the warm dispatch path
-    (:mod:`repro.experiments.parallel`) has every pool worker write its
-    finished entries directly, with only ``(key, digest)`` receipts
-    returning to the orchestrating parent.  Both shipped backends
-    already are — the JSON layout publishes each entry with an atomic
-    per-file :func:`os.replace`, and sqlite serializes writers through
+    writers across processes (two campaigns sharing one cache
+    directory).  Both shipped backends do — the JSON layout publishes
+    each entry with an atomic per-file :func:`os.replace`, and sqlite serializes writers through
     its WAL journal — and since the determinism contract makes equal
     keys hold equal bytes, a write race is always a benign last-write-
     wins of identical content.
@@ -428,7 +425,7 @@ BACKENDS: dict[str, type[StoreBackend]] = {
 def detect_backend(root: str | os.PathLike) -> str:
     """The backend a cache directory already uses (``sqlite`` or ``json``).
 
-    Detection keys on the presence of ``store.sqlite`` so that warm
+    Detection keys on the presence of ``store.sqlite`` so that cached
     reruns, ``cache ls`` and merges pick the right backend without the
     operator re-stating ``--cache-backend`` on every invocation.  An
     empty or absent directory is JSON — the historical default.

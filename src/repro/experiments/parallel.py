@@ -12,44 +12,25 @@ The unit of dispatch is a **batch of seeds**: all cells of one
 ``(protocol, rate)`` group travel to a worker as one :class:`GridBatch`,
 so a group pays process startup once and — for scenarios whose placement
 does not depend on the seed — derives its placement and frozen channel
-geometry once (see :func:`repro.experiments.runner.run_batch`).  The
-result store stays **per cell**: batching changes how work reaches a
-worker, never what is cached or under which key.  ``batch=False`` restores
-the per-cell fan-out.
-
-Pooled, store-backed sweeps run on **warm workers** by default: the pool
-initializer ships the :class:`~repro.experiments.scenarios.Scenario` (and
-its fingerprint) to each worker exactly once, workers memoize the
-materialized placement and frozen channel geometry keyed by (scenario
-fingerprint, placement seed) so every batch after a worker's first reuses
-them instead of re-freezing, and finished entries are written into the
-multi-process-safe result store **by the worker itself** — only
-``(key, digest)`` :class:`CellReceipt` triples travel back over the pool,
-so IPC is O(digest) per cell instead of O(payload).  The parent re-reads
-and digest-verifies every receipt before marking the manifest cell done;
-a receipt that fails verification leaves its cell pending and a bounded
-cold (parent-write) pass finishes it, so the PR 7 retry/timeout/
-quarantine/interrupt-drain semantics are preserved unchanged.  Pending
-units are ordered **longest-expected-first** by a per-(protocol, rate)
-cost model (:mod:`repro.experiments.costmodel`) learned from the sweep's
-own cache hits, and submitted through a bounded in-flight window so
-parent-side memory stays O(jobs), not O(grid).
+geometry once (see :func:`repro.experiments.runner.run_batch`).  Workers
+return the finished :class:`~repro.metrics.collectors.RunResult` objects
+and the parent persists them; the result store stays **per cell**, so
+batching changes how work reaches a worker, never what is cached or
+under which key.  Pending units are dispatched in grid order through a
+bounded in-flight window, so parent-side memory stays O(jobs), not
+O(grid).
 
 Determinism is preserved by construction: each cell re-derives every random
 stream from its own seed (see :meth:`repro.sim.engine.Simulator.rng`), so a
-parallel sweep is **bit-identical** to a serial one — and a batched sweep
-to a per-cell one.  With the resilience layer
-(:mod:`repro.experiments.resilience`), the sharded-campaign layer
-(:mod:`repro.experiments.backends`) and the warm-worker dispatch path the
-contract is **seven-way**:
-serial == parallel == cached == batched == interrupted-then-resumed ==
-sharded-then-merged == warm, pinned by ``tests/test_orchestration.py``,
-``tests/test_resilience.py``, ``tests/test_backends.py`` and
-``tests/test_warm_sweep.py`` — the resumed leg including runs with
-injected worker crashes and retries, the merged leg including shards
-cached under different store backends on byte-identity of the merged
-store, the warm leg on byte-identity of worker-written stores under both
-backends.
+parallel sweep is **bit-identical** to a serial one.  With the resilience
+layer (:mod:`repro.experiments.resilience`) and the sharded-campaign layer
+(:mod:`repro.experiments.backends`) the contract is **five-way**:
+serial == parallel == cached == interrupted-then-resumed ==
+sharded-then-merged, pinned by ``tests/test_orchestration.py``,
+``tests/test_resilience.py`` and ``tests/test_backends.py`` — the resumed
+leg including runs with injected worker crashes and retries, the merged
+leg including shards cached under different store backends on
+byte-identity of the merged store.
 Aggregation always folds runs in ascending-seed order so even
 floating-point summation order matches the serial path.
 
@@ -66,9 +47,9 @@ The public surface:
 
 * :class:`GridCell` — one point of the sweep grid.
 * :class:`GridBatch` — one dispatch unit: a (protocol, rate) group's seeds.
-* :func:`run_grid` — execute a set of cells (serial or parallel, cached,
-  batched or per-cell), under a fault policy, optionally checkpointed
-  into a :class:`~repro.experiments.resilience.SweepManifest`.
+* :func:`run_grid` — execute a set of cells (serial or parallel, cached),
+  under a fault policy, optionally checkpointed into a
+  :class:`~repro.experiments.resilience.SweepManifest`.
 * :func:`run_sweep` — full protocol x rate grid, aggregated per cell group;
   the engine behind :func:`repro.experiments.runner.sweep` and the
   ``repro sweep`` CLI command.
@@ -104,7 +85,6 @@ from repro.experiments.resilience import (
     SweepManifest,
     _mark_worker,
 )
-from repro.experiments.costmodel import SweepCostModel
 from repro.experiments.scenarios import Scenario
 from repro.experiments.store import ResultStore, cell_key, scenario_fingerprint
 from repro.metrics.collectors import AggregateResult, RunResult, aggregate_runs
@@ -176,8 +156,8 @@ def batch_cells(cells: Iterable[GridCell]) -> list[GridBatch]:
     """Group cells into per-(protocol, rate) batches.
 
     Groups appear in first-encounter order and each batch's seeds keep
-    their cell order, so iterating the batches visits the same work in the
-    same sequence the per-cell dispatch would.
+    their cell order, so iterating the batches visits the cells in the
+    order they were given.
     """
     groups: dict[tuple[str, float], list[int]] = {}
     for cell in cells:
@@ -300,16 +280,6 @@ def grid_cells(
     ]
 
 
-def _execute_cell(scenario: Scenario, cell: GridCell) -> RunResult:
-    """Run one cell's simulation; top-level so the process pool can pickle it."""
-    from repro.experiments.runner import run_single
-
-    try:
-        return run_single(scenario, cell.protocol, cell.rate_kbps, cell.seed)
-    except Exception as exc:
-        raise GridCellError.from_exception(cell, exc) from exc
-
-
 def _execute_batch(scenario: Scenario, batch: GridBatch) -> list[RunResult]:
     """Run one batch's seeds; top-level so the process pool can pickle it.
 
@@ -320,144 +290,6 @@ def _execute_batch(scenario: Scenario, batch: GridBatch) -> list[RunResult]:
     from repro.experiments.runner import run_batch
 
     return run_batch(scenario, batch.protocol, batch.rate_kbps, batch.seeds)
-
-
-# ----------------------------------------------------------------------
-# Warm-worker dispatch: shared scenario state + worker-side store writes
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class CellReceipt:
-    """What a warm worker returns per cell instead of the result payload.
-
-    The payload itself is already on disk (the worker wrote it into the
-    shared result store), so the pool only carries the cell's cache
-    ``key``, the payload ``digest`` the parent must re-verify before
-    marking the manifest cell done, and the run's ``events`` count (feeds
-    the progress reporter's aggregate events/s and the cost model).
-    ``cached`` marks a seed the worker found already persisted — a
-    crashed-then-retried batch whose earlier attempt got that far.
-    """
-
-    key: str
-    digest: str
-    events: int
-    cached: bool = False
-
-
-@dataclass(frozen=True)
-class _WarmSpec:
-    """Everything a warm pool worker needs, shipped once via initargs.
-
-    ``fingerprint`` is the parent's :func:`scenario_fingerprint` dict —
-    pickled verbatim, so worker-computed cache keys and recorded
-    fingerprints are byte-identical to what the parent would write.
-    ``store_root``/``backend_name`` let each worker open its own store
-    handle (the sqlite backend connects lazily per process, the JSON
-    backend is just a directory), rather than inheriting a parent handle
-    across ``fork``.
-    """
-
-    scenario: Scenario
-    fingerprint: dict
-    store_root: str
-    backend_name: str
-
-
-class _WarmContext:
-    """Per-worker memoized state behind :func:`_execute_batch_warm`."""
-
-    def __init__(self, spec: _WarmSpec) -> None:
-        self.scenario = spec.scenario
-        self.fingerprint = spec.fingerprint
-        self.store = ResultStore(spec.store_root, backend=spec.backend_name)
-        self._shared: dict = {}
-
-    def shared_setup(self, batch: GridBatch):
-        """Memoized (placement, geometry) for shared-placement scenarios.
-
-        Keyed by (scenario fingerprint, placement seed): the first batch a
-        worker executes materializes the placement and freezes its
-        :class:`~repro.sim.channel.ChannelGeometry`; every sibling batch
-        after that — including single-seed batches, which the cold path
-        cannot share into — reuses both.  Scenarios whose placement
-        depends on the seed get ``(None, None)`` and derive per cell,
-        exactly like the cold path.
-        """
-        if not self.scenario.shares_placement:
-            return None, None
-        from repro.experiments.backends import canonical_digest
-        from repro.sim.channel import ChannelGeometry
-
-        key = (
-            canonical_digest(self.fingerprint),
-            self.scenario.placement_seed,
-        )
-        pair = self._shared.get(key)
-        if pair is None:
-            placement = self.scenario.placement(batch.seeds[0])
-            geometry = ChannelGeometry.build(
-                placement.positions, self.scenario.card.max_range
-            )
-            pair = (placement, geometry)
-            self._shared[key] = pair
-        return pair
-
-
-#: The warm worker's context; set exactly once per worker process by
-#: :func:`_init_warm_worker`, never in the orchestrating parent.
-_WARM_CONTEXT: _WarmContext | None = None
-
-
-def _init_warm_worker(spec: _WarmSpec) -> None:
-    """Pool initializer for warm workers: mark, then build the context.
-
-    Runs once per worker process.  Marks the process as a worker (fault
-    injection, signal disposition — exactly like the cold initializer)
-    and materializes the :class:`_WarmContext` every subsequent
-    :func:`_execute_batch_warm` call reads, so the scenario crosses the
-    pool boundary once instead of once per dispatch unit.
-    """
-    global _WARM_CONTEXT
-    _mark_worker()
-    _WARM_CONTEXT = _WarmContext(spec)
-
-
-def _execute_batch_warm(batch: GridBatch) -> list[CellReceipt]:
-    """Run one batch on a warm worker; returns receipts, not payloads.
-
-    Reads the worker-global :class:`_WarmContext` (scenario, fingerprint,
-    store handle, memoized shared setup) installed by the pool
-    initializer, then delegates to
-    :func:`repro.experiments.runner.run_batch_receipts`, which writes
-    each finished seed straight into the store.  Shared-setup failures
-    are wrapped exactly like the cold path's, naming the batch's first
-    cell.
-    """
-    context = _WARM_CONTEXT
-    if context is None:  # pragma: no cover - dispatch wiring bug
-        raise RuntimeError(
-            "_execute_batch_warm outside a warm pool worker "
-            "(initializer did not run)"
-        )
-    from repro.experiments.runner import run_batch_receipts
-
-    try:
-        placement, geometry = context.shared_setup(batch)
-    except Exception as exc:
-        cell = GridCell(batch.protocol, batch.rate_kbps, batch.seeds[0])
-        raise GridCellError.from_exception(
-            cell, exc, prefix="shared batch setup failed: "
-        ) from exc
-    return run_batch_receipts(
-        context.scenario,
-        batch.protocol,
-        batch.rate_kbps,
-        batch.seeds,
-        store=context.store,
-        fingerprint=context.fingerprint,
-        placement=placement,
-        geometry=geometry,
-    )
 
 
 def _probe_routes(
@@ -546,8 +378,6 @@ class _Dispatcher:
         cells_of: Callable[[object], list] | None,
         on_failure: Callable | None,
         split: Callable | None,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
         reporter: "ProgressReporter | None" = None,
     ) -> None:
         self.task = task
@@ -558,8 +388,6 @@ class _Dispatcher:
         self.cells_of = cells_of or (lambda item: [item])
         self.on_failure = on_failure or (lambda *args: None)
         self.split = split
-        self.initializer = initializer if initializer is not None else _mark_worker
-        self.initargs = initargs
         self.reporter = reporter
 
     # -- shared failure handling ---------------------------------------
@@ -665,8 +493,7 @@ class _Dispatcher:
         """
         pool = ProcessPoolExecutor(
             max_workers=min(self.jobs, len(queue)),
-            initializer=self.initializer,
-            initargs=self.initargs,
+            initializer=_mark_worker,
         )
         window = max(self.jobs * _INFLIGHT_FACTOR, self.jobs + 1)
         futures: dict = {}
@@ -822,8 +649,6 @@ def _dispatch(
     cells_of: Callable[[_Item], list] | None = None,
     on_failure: Callable[[CellFailure], None] | None = None,
     split: Callable[[_Item, GridCellError], list] | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
     reporter: "ProgressReporter | None" = None,
 ) -> None:
     """Run ``task`` over ``pending`` serially or via a process pool.
@@ -833,8 +658,6 @@ def _dispatch(
     the parent process.  Failure behaviour, retries and timeouts follow
     ``policy`` (default: fail fast, no retries — the pre-resilience
     contract); ``interrupt`` enables graceful SIGINT/SIGTERM draining.
-    ``initializer``/``initargs`` replace the default worker-marking pool
-    initializer (the warm path ships its :class:`_WarmSpec` this way);
     ``reporter`` receives worker-utilization samples from the poll loop.
     See :class:`_Dispatcher` for the semantics.
     """
@@ -847,8 +670,6 @@ def _dispatch(
         cells_of=cells_of,
         on_failure=on_failure,
         split=split,
-        initializer=initializer,
-        initargs=initargs,
         reporter=reporter,
     )
     if jobs <= 1 or len(pending) <= 1:
@@ -887,7 +708,7 @@ def _run_cached(
     interrupt: InterruptGuard | None = None,
     on_failure: Callable[[CellFailure], None] | None = None,
 ) -> dict[_Item, _Result]:
-    """Cached per-item fan-out (:func:`discover_routes`, unbatched grids).
+    """Cached per-item fan-out (:func:`discover_routes`).
 
     Looks every item up via ``get`` first, dispatches the misses through
     :func:`_dispatch`, persists fresh results via ``put`` (in the parent
@@ -926,16 +747,16 @@ def _make_reporter(
 class ProgressReporter:
     """Console progress/ETA for a running sweep.
 
-    Writes one line per completed dispatch unit — a cell, or a whole
-    :class:`GridBatch` — to ``stream`` (default stderr, so figures piped
-    to a file stay clean)::
+    Writes one line per completed dispatch unit — a :class:`GridBatch`,
+    or one §5.2.3 route probe — to ``stream`` (default stderr, so figures
+    piped to a file stay clean)::
 
         [ 7/24] TITAN-PC @ 4 Kbit/s, seed 2       elapsed 12.3s  ETA 29.8s
         [20/24] TITAN-PC @ 4 Kbit/s, seeds 1-5    elapsed 41.0s  ETA  8.2s
 
     ``done``/``total`` and the ETA are always counted in **cells**, never
-    dispatch units, so a batched sweep (few large units) reports the same
-    scale — and the same ETA arithmetic — as a per-cell one.  ETA
+    dispatch units, so a sweep of a few large batches reports its true
+    scale.  ETA
     extrapolates from the mean wall-clock of live (non-cached) cells,
     measured on the **live clock** — it starts when the cache partition
     finishes, so time spent reading (possibly thousands of) cache hits
@@ -1067,8 +888,6 @@ def _split_batch(unit: GridBatch, error: GridCellError) -> list[GridBatch]:
     the batch as one new unit (seed order preserved), so one bad seed
     costs its own cell, not its siblings'.
     """
-    if not isinstance(unit, GridBatch):
-        return []
     survivors = tuple(
         seed for seed in unit.seeds if seed != error.cell.seed
     )
@@ -1083,14 +902,18 @@ def run_grid(
     jobs: int = 1,
     store: ResultStore | None = None,
     progress: bool | ProgressReporter = False,
-    batch: bool = True,
     policy: FaultPolicy | None = None,
     manifest: SweepManifest | None = None,
     failures: SweepFailureReport | None = None,
     interrupt: InterruptGuard | None = None,
-    warm: bool = True,
 ) -> dict[GridCell, RunResult]:
     """Execute ``cells``, fanning out across processes and reusing the store.
+
+    The pending cells of each ``(protocol, rate)`` pair travel to a worker
+    as one :class:`GridBatch` (:func:`repro.experiments.runner.run_batch`),
+    amortizing process startup and — for shared-placement scenarios — the
+    placement/geometry pass across the group's seeds.  A failing seed
+    discards its batch's earlier, not-yet-persisted seeds.
 
     Parameters
     ----------
@@ -1100,34 +923,12 @@ def run_grid(
         seed).
     store:
         Optional :class:`ResultStore`; completed cells are looked up before
-        simulating and persisted after, so repeated invocations with the
-        same store perform zero new simulations.  Lookups and writes are
-        always per cell, whatever the dispatch unit.
+        simulating and persisted (by this process) after, so repeated
+        invocations with the same store perform zero new simulations.
+        Lookups and writes are always per cell, whatever the dispatch unit.
     progress:
         ``True`` for stderr progress/ETA lines, or a pre-built
         :class:`ProgressReporter`.
-    batch:
-        Group the pending cells of each ``(protocol, rate)`` pair into one
-        :class:`GridBatch` per worker invocation (the default), amortizing
-        process startup and — for shared-placement scenarios — the
-        placement/geometry pass across the group's seeds.  ``False``
-        dispatches one cell at a time.  Results are **bit-identical**
-        either way; only wall-clock and failure granularity change (a
-        failing seed discards its batch's earlier, not-yet-persisted
-        seeds).
-    warm:
-        Use the warm-worker dispatch path (the default) whenever it can
-        engage — batched, pooled (``jobs > 1``, more than one dispatch
-        unit) and store-backed.  Warm workers receive the scenario once
-        via the pool initializer, memoize shared placement/geometry
-        across their batches, write finished entries into the store
-        themselves and return ``(key, digest)`` receipts that the parent
-        re-verifies against the store before marking cells done; a cell
-        whose receipt fails verification is finished on the cold
-        (parent-write) path.  Results are **bit-identical** to the cold
-        path — the seventh leg of the determinism contract — so
-        ``warm=False`` exists for benchmarking the dispatch overhead,
-        not for correctness.
     policy:
         :class:`~repro.experiments.resilience.FaultPolicy` governing
         retries, timeouts and fail-vs-continue.  Default: fail fast.
@@ -1150,7 +951,7 @@ def run_grid(
     ------
     GridCellError
         If any cell's simulation fails (``on_error="fail"``), naming the
-        offending ``(protocol, rate, seed)`` — under batching too.
+        offending ``(protocol, rate, seed)``.
     SweepInterrupted
         When ``interrupt`` fired; the manifest (if any) is flushed first.
     """
@@ -1169,20 +970,8 @@ def run_grid(
         store.clean_tmp()  # reap tmp droppings from crashed writers
         fingerprint = scenario_fingerprint(scenario)
 
-        def put(cell: GridCell, result: RunResult) -> None:
-            store.put_run(_key(cell), result, fingerprint=fingerprint)
-
-    else:
-
-        def put(cell: GridCell, result: RunResult) -> None:
-            return None
-
     if manifest is not None:
         manifest.register(scenario, cells)
-
-    def _mark_done(cell: GridCell) -> None:
-        if manifest is not None:
-            manifest.mark_done(cell)
 
     def _on_failure(failure: CellFailure) -> None:
         if failures is not None:
@@ -1196,32 +985,6 @@ def run_grid(
     reporter.jobs = max(1, jobs)
 
     try:
-        if not batch:
-            results, pending = _partition_cached(cells, get, reporter)
-            if manifest is not None and results:
-                manifest.note_done(list(results))
-
-            def _record_cell(cell: GridCell, result: RunResult) -> None:
-                results[cell] = result
-                put(cell, result)
-                _mark_done(cell)
-                reporter.note_events(result.events_processed)
-                reporter.advance(cell)
-
-            _dispatch(
-                pending,
-                partial(_execute_cell, scenario),
-                _record_cell,
-                jobs,
-                policy=policy,
-                interrupt=interrupt,
-                cells_of=lambda cell: [cell],
-                on_failure=_on_failure,
-                reporter=reporter,
-            )
-            reporter.finish()
-            return results
-
         results, pending = _partition_cached(cells, get, reporter)
         if manifest is not None and results:
             manifest.note_done(list(results))
@@ -1229,101 +992,17 @@ def run_grid(
         def _record(unit: GridBatch, batch_results: list[RunResult]) -> None:
             for cell, result in zip(unit.cells(), batch_results):
                 results[cell] = result
-                put(cell, result)
-                _mark_done(cell)
+                if store is not None:
+                    store.put_run(_key(cell), result, fingerprint=fingerprint)
+                if manifest is not None:
+                    manifest.mark_done(cell)
             reporter.note_events(
                 sum(result.events_processed for result in batch_results)
             )
             reporter.advance(unit, cells=len(batch_results))
 
-        batches = _split_for_jobs(batch_cells(pending), jobs)
-        if jobs > 1 and len(batches) > 1:
-            # Longest-expected-first scheduling: keeps one slow high-rate
-            # unit from tail-blocking the campaign.  Ordering is pure
-            # wall-clock policy — the store/manifest/results are
-            # permutation-invariant (pinned by tests) — and the model is
-            # seeded from this sweep's own cache hits when it has any.
-            model = SweepCostModel(duration_s=scenario.duration)
-            model.observe_results(results.items())
-            batches = model.order(batches)
-        if warm and store is not None and jobs > 1 and len(batches) > 1:
-            failed_cells: set[GridCell] = set()
-
-            def _on_failure_warm(failure: CellFailure) -> None:
-                failed_cells.add(failure.cell)
-                _on_failure(failure)
-
-            def _record_receipts(
-                unit: GridBatch, receipts: list[CellReceipt]
-            ) -> None:
-                verified = 0
-                events = 0
-                for cell, receipt in zip(unit.cells(), receipts):
-                    entry = store.get_run_entry(_key(cell))
-                    if entry is None:
-                        continue  # worker's write vanished: cold pass re-runs
-                    result, digest = entry
-                    if digest != receipt.digest:
-                        continue  # receipt lies about what is on disk
-                    results[cell] = result
-                    _mark_done(cell)
-                    # The cell was pending, the entry exists now: this
-                    # sweep produced it (possibly via a since-crashed
-                    # worker), so it counts as a write exactly like a
-                    # parent-side put_run would.
-                    store.writes += 1
-                    verified += 1
-                    events += receipt.events
-                if verified:
-                    reporter.note_events(events)
-                    reporter.advance(unit, cells=verified)
-
-            spec = _WarmSpec(
-                scenario=scenario,
-                fingerprint=fingerprint,
-                store_root=str(store.root),
-                backend_name=store.backend.name,
-            )
-            _dispatch(
-                batches,
-                _execute_batch_warm,
-                _record_receipts,
-                jobs,
-                policy=policy,
-                interrupt=interrupt,
-                cells_of=lambda unit: unit.cells(),
-                on_failure=_on_failure_warm,
-                split=_split_batch,
-                initializer=_init_warm_worker,
-                initargs=(spec,),
-                reporter=reporter,
-            )
-            leftovers = [
-                cell
-                for cell in pending
-                if cell not in results and cell not in failed_cells
-            ]
-            if leftovers:
-                # A receipt failed verification (or a worker's write was
-                # lost/corrupted after the fact): finish those cells on
-                # the cold, parent-write path.  Bounded — one pass over
-                # the survivors — and byte-identical by contract.
-                _dispatch(
-                    _split_for_jobs(batch_cells(leftovers), jobs),
-                    partial(_execute_batch, scenario),
-                    _record,
-                    jobs,
-                    policy=policy,
-                    interrupt=interrupt,
-                    cells_of=lambda unit: unit.cells(),
-                    on_failure=_on_failure,
-                    split=_split_batch,
-                    reporter=reporter,
-                )
-            reporter.finish()
-            return results
         _dispatch(
-            batches,
+            _split_for_jobs(batch_cells(pending), jobs),
             partial(_execute_batch, scenario),
             _record,
             jobs,
@@ -1406,22 +1085,18 @@ def run_sweep(
     jobs: int = 1,
     store: ResultStore | None = None,
     progress: bool = False,
-    batch: bool = True,
     on_aggregate: Callable[[str, float, AggregateResult], None] | None = None,
     policy: FaultPolicy | None = None,
     manifest: SweepManifest | None = None,
     failures: SweepFailureReport | None = None,
     interrupt: InterruptGuard | None = None,
-    warm: bool = True,
 ) -> dict[tuple[str, float], AggregateResult]:
     """Full protocol x rate grid, aggregated over seeds with 95% CIs.
 
     The parallel, cached engine behind
     :func:`repro.experiments.runner.sweep`.  Runs every
-    ``(protocol, rate, seed)`` cell via :func:`run_grid` (batched into
-    per-(protocol, rate) seed groups unless ``batch=False``; on the
-    warm-worker path when ``warm`` and the run is pooled and
-    store-backed), then folds each (protocol, rate) group over its seeds
+    ``(protocol, rate, seed)`` cell via :func:`run_grid`, then folds each
+    (protocol, rate) group over its seeds
     **in ascending-seed order**, so aggregates match the serial path
     bit-for-bit.  ``on_aggregate`` fires once per finished group
     (console reporting hooks).
@@ -1440,12 +1115,10 @@ def run_sweep(
         jobs=jobs,
         store=store,
         progress=progress,
-        batch=batch,
         policy=policy,
         manifest=manifest,
         failures=failures,
         interrupt=interrupt,
-        warm=warm,
     )
     grid: dict[tuple[str, float], AggregateResult] = {}
     for protocol in protocols:

@@ -6,7 +6,7 @@ rows/series the paper's figures plot:
 * :func:`run_single` — one (protocol, rate, seed) simulation.
 * :func:`run_batch` — all seeds of one (protocol, rate) group in one call,
   sharing placement + frozen channel geometry when the scenario's topology
-  is seed-invariant; the batched dispatch unit of
+  is seed-invariant; the dispatch unit of
   :mod:`repro.experiments.parallel`.
 * :func:`sweep` — full protocol x rate grid, aggregated over seeds with 95%
   confidence intervals; this regenerates Figs. 8, 9, 11, 12, 14 and Table 2.
@@ -20,10 +20,8 @@ rows/series the paper's figures plot:
 processes and ``store=ResultStore(...)`` to reuse completed runs from disk.
 Results are bit-identical regardless of ``jobs`` (each cell derives all
 randomness from its own seed) and of which store backend caches them —
-the full contract is seven-way (serial == parallel == cached == batched
-== resumed == merged == warm; see :mod:`repro.experiments.parallel`,
-whose warm-worker dispatch writes entries from the pool workers
-themselves).  A completed
+the full contract is five-way (serial == parallel == cached == resumed
+== merged; see :mod:`repro.experiments.parallel`).  A completed
 sweep's store renders into a standalone HTML campaign report via
 :mod:`repro.report` (``repro report`` / ``sweep --report``).
 """
@@ -66,7 +64,7 @@ def run_batch(
 ) -> list[RunResult]:
     """Run all ``seeds`` of one ``(protocol, rate)`` group in one call.
 
-    The batched unit of work behind
+    The unit of work behind
     :func:`repro.experiments.parallel.run_grid`: one worker invocation
     covers a whole seed group, amortizing process startup and — when the
     scenario's placement does not depend on the seed
@@ -91,7 +89,7 @@ def run_batch(
     if scenario.shares_placement and len(seeds) > 1:
         try:
             placement = scenario.placement(seeds[0])
-            geometry = ChannelGeometry.build(
+            geometry = ChannelGeometry.from_positions(
                 placement.positions, scenario.card.max_range
             )
         except Exception as exc:
@@ -113,74 +111,6 @@ def run_batch(
     return results
 
 
-def run_batch_receipts(
-    scenario: Scenario,
-    protocol: str,
-    rate_kbps: float,
-    seeds: Sequence[int],
-    store: "ResultStore",
-    fingerprint,
-    placement=None,
-    geometry=None,
-) -> list:
-    """Run one seed group worker-side, persisting results as it goes.
-
-    The warm-worker counterpart of :func:`run_batch`: instead of
-    accumulating :class:`RunResult` objects for the parent to pickle back
-    and persist, each finished seed is written **directly** into the
-    (multi-process-safe) result store and only a
-    :class:`~repro.experiments.parallel.CellReceipt` — cache key, payload
-    digest, event count — travels back over the pool, so IPC is O(digest)
-    per cell instead of O(payload).  ``placement``/``geometry`` come from
-    the worker's memoized shared-scenario state (the warm pool
-    initializer), so sibling batches reuse one frozen
-    :class:`~repro.sim.channel.ChannelGeometry` instead of re-freezing
-    per dispatch unit.
-
-    A seed whose entry already exists (a crashed-then-retried batch whose
-    earlier attempt persisted it; digest-verified on read) is skipped and
-    reported as a ``cached`` receipt — re-simulating it would produce the
-    same bytes anyway, per the determinism contract.  Failures raise
-    :class:`~repro.experiments.parallel.GridCellError` naming the exact
-    ``(protocol, rate, seed)``, exactly like :func:`run_batch`.
-    """
-    from repro.experiments.parallel import CellReceipt, GridCell, GridCellError
-    from repro.experiments.resilience import maybe_inject_fault
-    from repro.experiments.store import cell_key_from_fingerprint
-
-    receipts = []
-    for seed in seeds:
-        key = cell_key_from_fingerprint(fingerprint, protocol, rate_kbps, seed)
-        existing = store.get_run_entry(key)
-        if existing is not None:
-            result, digest = existing
-            receipts.append(
-                CellReceipt(
-                    key=key,
-                    digest=digest,
-                    events=result.events_processed,
-                    cached=True,
-                )
-            )
-            continue
-        try:
-            maybe_inject_fault(_fault_label(protocol, rate_kbps, seed))
-            config = scenario.config(
-                protocol, rate_kbps, seed, placement=placement
-            )
-            result = WirelessNetwork(config, geometry=geometry).run()
-            digest = store.put_run(key, result, fingerprint=fingerprint)
-        except Exception as exc:
-            cell = GridCell(protocol, float(rate_kbps), int(seed))
-            raise GridCellError.from_exception(cell, exc) from exc
-        receipts.append(
-            CellReceipt(
-                key=key, digest=digest, events=result.events_processed
-            )
-        )
-    return receipts
-
-
 def run_many(
     scenario: Scenario,
     protocol: str,
@@ -188,19 +118,14 @@ def run_many(
     jobs: int = 1,
     store: "ResultStore | None" = None,
     progress: bool = False,
-    batch: bool = True,
     policy=None,
-    warm: bool = True,
 ) -> AggregateResult:
     """Run ``scenario.runs`` seeds of one configuration and aggregate.
 
-    Seeds fan out across ``jobs`` processes and reuse ``store`` when given;
-    with ``batch`` (the default) the seed group dispatches as one
-    :class:`~repro.experiments.parallel.GridBatch` sharing setup work, and
-    with ``warm`` (the default) a pooled, store-backed run uses the
-    warm-worker dispatch path (results bit-identical either way).
-    A failing seed raises :class:`~repro.experiments.parallel.GridCellError`
-    naming the offending ``(protocol, rate, seed)`` instead of an opaque
+    Seeds fan out across ``jobs`` processes (split into contiguous
+    :class:`~repro.experiments.parallel.GridBatch` chunks that share setup
+    work) and reuse ``store`` when given.  A failing seed raises
+    :class:`~repro.experiments.parallel.GridCellError` naming the offending ``(protocol, rate, seed)`` instead of an opaque
     mid-grid traceback; ``policy`` (a
     :class:`~repro.experiments.resilience.FaultPolicy`) adds retries and
     timeouts for transient worker failures.
@@ -214,9 +139,7 @@ def run_many(
         jobs=jobs,
         store=store,
         progress=progress,
-        batch=batch,
         policy=policy,
-        warm=warm,
     )
     return aggregate_runs([results[cell] for cell in cells])
 
@@ -229,24 +152,20 @@ def sweep(
     jobs: int = 1,
     store: "ResultStore | None" = None,
     progress: bool = False,
-    batch: bool = True,
     policy=None,
     manifest=None,
     failures=None,
     interrupt=None,
-    warm: bool = True,
 ) -> dict[tuple[str, float], AggregateResult]:
     """Full protocol x rate grid for a scenario.
 
     Returns ``{(protocol, rate): AggregateResult}``; iterate rates in inner
     order to print one figure line per protocol.  ``jobs``/``store``/
-    ``progress``/``batch``/``warm`` are forwarded to
-    :func:`repro.experiments.parallel.run_sweep`, the orchestration engine
-    (``batch`` groups each (protocol, rate)'s seeds into one dispatch
-    unit; ``warm`` lets a pooled, store-backed sweep run on the
-    warm-worker path; results are bit-identical either way), as are the
-    resilience hooks ``policy``/``manifest``/``failures``/``interrupt``
-    (see :mod:`repro.experiments.resilience`).
+    ``progress`` are forwarded to
+    :func:`repro.experiments.parallel.run_sweep`, the orchestration
+    engine, as are the resilience hooks
+    ``policy``/``manifest``/``failures``/``interrupt`` (see
+    :mod:`repro.experiments.resilience`).
     ``verbose`` prints one stdout line per (protocol, rate) aggregate once
     the grid completes, and turns on per-cell stderr progress so a long
     sweep stays visibly alive while it runs.
@@ -266,13 +185,11 @@ def sweep(
         jobs=jobs,
         store=store,
         progress=progress or verbose,
-        batch=batch,
         on_aggregate=_report if verbose else None,
         policy=policy,
         manifest=manifest,
         failures=failures,
         interrupt=interrupt,
-        warm=warm,
     )
 
 

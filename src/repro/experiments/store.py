@@ -127,28 +127,6 @@ def scenario_fingerprint(scenario: "Scenario") -> dict:
     return fingerprint
 
 
-def cell_key_from_fingerprint(
-    fingerprint: Mapping, protocol: str, rate_kbps: float, seed: int
-) -> str:
-    """:func:`cell_key` over an already-computed scenario fingerprint.
-
-    Warm pool workers receive the fingerprint once via their initializer
-    (:mod:`repro.experiments.parallel`) and key every cell from it without
-    re-deriving the scenario's structural dict per seed.  Keys are
-    identical to :func:`cell_key` by construction — both digest the same
-    canonical JSON.
-    """
-    return _digest(
-        {
-            "kind": "run",
-            "scenario": dict(fingerprint),
-            "protocol": protocol,
-            "rate_kbps": float(rate_kbps),
-            "seed": int(seed),
-        }
-    )
-
-
 def cell_key(
     scenario: "Scenario", protocol: str, rate_kbps: float, seed: int
 ) -> str:
@@ -158,8 +136,14 @@ def cell_key(
     across processes, interpreter restarts and machines (unlike
     :func:`hash`, which is salted per process).
     """
-    return cell_key_from_fingerprint(
-        scenario_fingerprint(scenario), protocol, rate_kbps, seed
+    return _digest(
+        {
+            "kind": "run",
+            "scenario": scenario_fingerprint(scenario),
+            "protocol": protocol,
+            "rate_kbps": float(rate_kbps),
+            "seed": int(seed),
+        }
     )
 
 
@@ -308,14 +292,12 @@ class ResultStore:
         key: str,
         result: RunResult,
         fingerprint: Mapping | None = None,
-    ) -> str:
+    ) -> None:
         """Persist one completed run under ``key`` (atomic write).
 
         ``fingerprint`` optionally records the scenario fingerprint
         (:func:`scenario_fingerprint`) for ``repro cache ls`` grouping;
         the payload digest for ``repro cache verify`` is always recorded.
-        Returns that payload digest — warm pool workers hand it back to
-        the orchestrating parent as their ``(key, digest)`` receipt.
         """
         payload = result.to_payload()
         digest = _digest(payload)
@@ -323,38 +305,6 @@ class ResultStore:
         if fingerprint is not None:
             entry["scenario"] = dict(fingerprint)
         self._write("runs", key, entry)
-        return digest
-
-    def get_run_entry(self, key: str) -> tuple[RunResult, str] | None:
-        """Verified ``(result, digest)`` for ``key`` without hit/miss noise.
-
-        The receipt-verification read of the warm dispatch path: the
-        parent re-reads what a worker claims to have written and compares
-        the recorded digest against the receipt before marking the
-        manifest cell done.  Digest verification and quarantine behave
-        exactly like :meth:`get_run` (a corrupt entry is set aside and
-        reported absent), but the hit/miss counters stay untouched —
-        the cell was already accounted for when it was partitioned as
-        pending, and a verification read must not masquerade as a second
-        cache lookup.  Workers use the same read to skip seeds an earlier
-        (crashed) attempt already persisted.
-        """
-        try:
-            entry = self.backend.get("runs", key)
-        except StoreCorruption:
-            self._quarantine("runs", key)
-            return None
-        if entry is None:
-            return None
-        body = entry.get("result")
-        digest = entry.get("digest")
-        if body is None or not isinstance(digest, str) or _digest(body) != digest:
-            self._quarantine("runs", key)
-            return None
-        try:
-            return RunResult.from_payload(body), digest
-        except (KeyError, TypeError, ValueError):
-            return None
 
     def get_routes(self, key: str) -> dict[int, tuple[int, ...]] | None:
         """Return a cached stabilized-route set, or None.

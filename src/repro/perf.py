@@ -13,12 +13,9 @@ Two audiences:
   to ``BENCH_kernel.json``.  CI runs ``python -m repro perf`` on every push
   and uploads that file as an artifact, so each PR records the throughput
   it inherited and the throughput it ships.
-  :func:`run_batch_benchmarks` does the same for the batched execution
-  layer (per-seed amortized setup cost, ``BENCH_batch.json`` via
-  ``python -m repro perf-batch``) and :func:`run_sweep_benchmarks` for
-  the sweep dispatch layer (cold vs warm-worker dispatch of one
-  campaign, byte-compared, ``BENCH_sweep.json`` via
-  ``python -m repro perf-sweep``).
+  :func:`run_scale_benchmarks` does the same for the node axis (freeze,
+  mobility repair and large-grid cells, ``BENCH_scale.json`` via
+  ``python -m repro perf-scale``).
 
 Wall-clock numbers are machine-dependent; the JSON therefore records the
 interpreter and platform next to every figure.  Events-per-second is the
@@ -175,150 +172,12 @@ def _bench_fig8_cell(rate_kbps: float, seed: int) -> dict:
     }
 
 
-def _bench_batch_setup(
-    node_counts: tuple[int, ...],
-    seeds: int,
-    duration: float,
-) -> dict:
-    """Per-seed amortized setup cost: batched vs per-cell, by node count.
-
-    For each node count, builds a fixed-placement dense scenario
-    (paper-density field, see :func:`_batch_scenario`) and times the
-    **setup** of ``seeds`` simulations twice: per-cell (every seed derives
-    its placement and freezes channel geometry from scratch — what
-    ``batch=False`` dispatch pays) and batched (placement + geometry
-    derived once via :func:`repro.experiments.runner.run_batch`'s shared
-    path, then one assembly per seed).  Setup means everything before
-    ``sim.run()``; it is the dominant non-simulation cost of the dense
-    scenarios, which is exactly what batching amortizes.
-    """
-    import time as _time
-
-    from repro.sim.channel import ChannelGeometry
-    from repro.sim.network import WirelessNetwork
-
-    protocol, rate_kbps = "DSR-ODPM", 4.0
-    results = {}
-    for node_count in node_counts:
-        scenario = _batch_scenario(node_count, duration)
-
-        # Warm imports/allocator so the first-timed path is not penalized.
-        WirelessNetwork(scenario.config(protocol, rate_kbps, 1))
-
-        def time_per_cell() -> float:
-            start = _time.perf_counter()
-            for seed in range(1, seeds + 1):
-                WirelessNetwork(scenario.config(protocol, rate_kbps, seed))
-            return _time.perf_counter() - start
-
-        def time_batched() -> float:
-            start = _time.perf_counter()
-            placement = scenario.placement(1)
-            geometry = ChannelGeometry.build(
-                placement.positions, scenario.card.max_range
-            )
-            for seed in range(1, seeds + 1):
-                WirelessNetwork(
-                    scenario.config(
-                        protocol, rate_kbps, seed, placement=placement
-                    ),
-                    geometry=geometry,
-                )
-            return _time.perf_counter() - start
-
-        # Best-of-3: construction cost is deterministic, so the minimum is
-        # the signal and the rest is scheduler noise (1-CPU CI runners).
-        per_cell = min(time_per_cell() for _ in range(3))
-        batched = min(time_batched() for _ in range(3))
-
-        results["nodes_%d" % node_count] = {
-            "node_count": node_count,
-            "seeds": seeds,
-            "per_cell_setup_seconds": per_cell,
-            "batched_setup_seconds": batched,
-            "per_seed_per_cell": per_cell / seeds,
-            "per_seed_batched": batched / seeds,
-            "amortized_setup_speedup": per_cell / batched if batched else 0.0,
-        }
-    return results
-
-
-def _batch_scenario(node_count: int, duration: float):
-    """A fixed-placement dense scenario at roughly the paper's density."""
-    from repro.experiments.scenarios import Scenario
-
-    # ~1300 m field at 300 nodes (the Table 2 density), scaled so every
-    # node count keeps the same nodes-per-km^2.
-    field = 1300.0 * (node_count / 300.0) ** 0.5
-    return Scenario(
-        name="bench-batch-%d" % node_count,
-        node_count=node_count,
-        field_size=field,
-        flow_count=10,
-        rates_kbps=(4.0,),
-        duration=duration,
-        runs=1,
-        protocols=("DSR-ODPM",),
-    ).with_fixed_placement(1)
-
-
-def run_batch_benchmarks(
-    node_counts: tuple[int, ...] = (100, 300, 400),
-    seeds: int = 8,
-    duration: float = 30.0,
-) -> dict:
-    """Batched-execution benchmark report (``BENCH_batch.json``).
-
-    Measures the per-seed amortized setup cost of batched vs per-cell
-    dispatch at several node counts (setup only — the simulation phase is
-    bit-identical by contract, so it cancels out of the comparison).  CI
-    runs ``python -m repro perf-batch`` per push and uploads the report
-    next to the kernel one; the committed ``BENCH_batch.json`` is the
-    dev-machine baseline quoted in ``docs/performance.md``.  The defaults
-    (8 seeds per batch, best-of-3) are the baseline's exact workload —
-    keep them when regenerating, or reports stop being comparable
-    (amortized speedup grows with batch size).
-    """
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "batch_setup": _bench_batch_setup(node_counts, seeds, duration),
-        },
-    }
-
-
-def format_batch_report(report: dict) -> str:
-    """Aligned per-node-count lines of a batch benchmark report."""
-    lines = [
-        "Batched execution setup cost (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"])
-    ]
-    entries = report["benchmarks"]["batch_setup"]
-    for _name, entry in sorted(
-        entries.items(), key=lambda item: item[1]["node_count"]
-    ):
-        lines.append(
-            "  %4d nodes x %d seeds: per-cell %6.1f ms/seed, "
-            "batched %6.1f ms/seed  (%.1fx)"
-            % (
-                entry["node_count"],
-                entry["seeds"],
-                entry["per_seed_per_cell"] * 1e3,
-                entry["per_seed_batched"] * 1e3,
-                entry["amortized_setup_speedup"],
-            )
-        )
-    return "\n".join(lines)
-
-
 def _scale_positions(node_count: int) -> dict[int, tuple[float, float]]:
     """Uniform-random positions at the paper's Table 2 density.
 
-    Same density rule as :func:`_batch_scenario` (~1300 m field at 300
-    nodes), without the connectivity re-draw — the geometry benchmarks
+    ~1300 m field at 300 nodes (the Table 2 density), scaled so every
+    node count keeps the same nodes-per-km^2, without the connectivity
+    re-draw — the geometry benchmarks
     measure the pair scan, and requiring connectivity at 5k nodes would
     spend minutes drawing placements instead.
     """
@@ -332,13 +191,12 @@ def _scale_positions(node_count: int) -> dict[int, tuple[float, float]]:
 
 
 def _bench_scale_freeze(node_counts: tuple[int, ...]) -> dict:
-    """Freeze-time candidate methods head to head, plus identity check.
+    """Freeze-time spatial hash against the reference, plus identity check.
 
     Times :meth:`ChannelGeometry.from_positions` per method — ``grid``
-    (the cell-list spatial hash), ``dense`` (numpy all-pairs matrix) and
-    ``bruteforce`` (the pure-python O(N^2) reference) — on the same
-    positions, best-of-N (best-of-1 for brute force above 2k nodes: the
-    reference path is quadratic and exists to be compared against, not
+    (the cell-list spatial hash) and ``bruteforce`` (the pure-python
+    O(N^2) reference) — on the same positions, best-of-N (best-of-1 for
+    brute force above 2k nodes: the reference path is quadratic and exists to be compared against, not
     lingered in).  Every entry records ``verified_identical``: the grid
     and brute-force geometries are compared table-for-table before the
     timings are trusted.
@@ -347,7 +205,7 @@ def _bench_scale_freeze(node_counts: tuple[int, ...]) -> dict:
 
     from repro.sim.channel import ChannelGeometry
 
-    max_range = 250.0  # the paper's Cabletron range, as in the batch bench
+    max_range = 250.0  # the paper's Cabletron range
     results = {}
     for node_count in node_counts:
         positions = _scale_positions(node_count)
@@ -364,7 +222,6 @@ def _bench_scale_freeze(node_counts: tuple[int, ...]) -> dict:
             return best, geometry
 
         grid_seconds, grid_geometry = time_method("grid", 3)
-        dense_seconds, _ = time_method("dense", 3)
         brute_reps = 3 if node_count <= 2000 else 1
         brute_seconds, brute_geometry = time_method("bruteforce", brute_reps)
         identical = (
@@ -376,13 +233,9 @@ def _bench_scale_freeze(node_counts: tuple[int, ...]) -> dict:
         results["nodes_%d" % node_count] = {
             "node_count": node_count,
             "grid_seconds": grid_seconds,
-            "dense_seconds": dense_seconds,
             "bruteforce_seconds": brute_seconds,
             "speedup_vs_bruteforce": (
                 brute_seconds / grid_seconds if grid_seconds else 0.0
-            ),
-            "speedup_vs_dense": (
-                dense_seconds / grid_seconds if grid_seconds else 0.0
             ),
             "verified_identical": identical,
         }
@@ -512,10 +365,9 @@ def run_scale_benchmarks(
 ) -> dict:
     """Node-axis scaling report (``BENCH_scale.json``).
 
-    Three sections: freeze-time candidate-method comparison (spatial hash
-    vs dense numpy vs the brute-force reference, with identity
-    verification), per-move mobility-repair cost (live spatial index on
-    vs off), and full end-to-end ``large_grid`` smoke cells.  CI runs
+    Three sections: freeze-time spatial hash vs the brute-force
+    reference (with identity verification), per-move mobility-repair
+    cost (live spatial index on vs off), and full end-to-end ``large_grid`` smoke cells.  CI runs
     ``python -m repro perf-scale`` per push and uploads the report as
     ``BENCH_scale_ci.json``; the committed ``BENCH_scale.json`` is the
     dev-machine baseline quoted in ``docs/performance.md``.
@@ -543,21 +395,18 @@ def format_scale_report(report: dict) -> str:
         % (report["implementation"], report["python"], report["platform"])
     ]
     benchmarks = report["benchmarks"]
-    lines.append("  freeze (grid vs dense vs bruteforce):")
+    lines.append("  freeze (grid vs bruteforce):")
     for _name, entry in sorted(
         benchmarks["freeze_scaling"].items(),
         key=lambda item: item[1]["node_count"],
     ):
         lines.append(
-            "    %5d nodes: grid %7.1f ms, dense %7.1f ms, brute %8.1f ms"
-            "  (%.1fx vs brute, %.1fx vs dense%s)"
+            "    %5d nodes: grid %7.1f ms, brute %8.1f ms  (%.1fx%s)"
             % (
                 entry["node_count"],
                 entry["grid_seconds"] * 1e3,
-                entry["dense_seconds"] * 1e3,
                 entry["bruteforce_seconds"] * 1e3,
                 entry["speedup_vs_bruteforce"],
-                entry["speedup_vs_dense"],
                 "" if entry["verified_identical"] else "; MISMATCH",
             )
         )
@@ -592,196 +441,6 @@ def format_scale_report(report: dict) -> str:
                 entry["delivery_ratio"],
             )
         )
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Warm-worker sweep benchmarks
-# ----------------------------------------------------------------------
-def _sweep_scenario(
-    node_count: int, rate_count: int, seeds: int, duration: float, field: float
-):
-    """A connectivity-constrained sparse campaign for the sweep benchmark.
-
-    The field is deliberately sparser than the paper's Table 2 density so
-    that drawing a *connected* placement takes several re-draws — the
-    placement pass is then the dominant shared setup cost, which is
-    exactly the workload warm-worker dispatch amortizes.  Everything is
-    seeded (fixed placement seed 1), so the re-draw count — and therefore
-    the workload — is identical on every machine and every run.
-    """
-    from repro.experiments.scenarios import Scenario
-
-    return Scenario(
-        name="bench-sweep-%d" % node_count,
-        node_count=node_count,
-        field_size=field,
-        flow_count=10,
-        rates_kbps=tuple(2.0 + 0.5 * step for step in range(rate_count)),
-        duration=duration,
-        runs=seeds,
-        protocols=("DSR-ODPM",),
-    ).with_fixed_placement(1)
-
-
-def _store_tree(root) -> dict[str, bytes]:
-    """Every file under ``root`` as ``{relative_path: bytes}``."""
-    from pathlib import Path
-
-    root = Path(root)
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*"))
-        if path.is_file()
-    }
-
-
-def _bench_warm_sweep(
-    node_count: int,
-    rate_count: int,
-    seeds: int,
-    duration: float,
-    field: float,
-    jobs: int,
-    repeats: int,
-) -> dict:
-    """Cold vs warm dispatch of one campaign, into fresh stores each time.
-
-    Cold is the prior dispatch path (per-task setup: every batch derives
-    the placement and freezes channel geometry in its worker, every result
-    pickles back to the parent, the parent writes the store).  Warm is the
-    warm-worker path (per-worker memoized placement/geometry, worker-side
-    store writes, digest receipts).  Both run through the same pool with
-    the same ``jobs``, so the ratio isolates the dispatch overhead —
-    total work, not parallelism, on single-CPU runners.
-
-    Timings are best-of-``repeats`` minima per mode; the first repetition's
-    two store trees are byte-compared and reported as
-    ``stores_identical`` — the speedup is only meaningful if the warm
-    path produced the exact bytes the cold path did.
-    """
-    import shutil as _shutil
-    import tempfile as _tempfile
-    import time as _time
-    from pathlib import Path
-
-    from repro.experiments.parallel import grid_cells, run_grid
-    from repro.experiments.store import ResultStore
-
-    scenario = _sweep_scenario(node_count, rate_count, seeds, duration, field)
-    cells = grid_cells(scenario)
-
-    def one_pass(warm: bool) -> tuple[float, dict[str, bytes], int]:
-        tmp = _tempfile.mkdtemp(prefix="bench-sweep-")
-        try:
-            store = ResultStore(Path(tmp) / "store", backend="json")
-            start = _time.perf_counter()
-            results = run_grid(
-                scenario, cells, jobs=jobs, store=store, warm=warm
-            )
-            elapsed = _time.perf_counter() - start
-            events = sum(
-                result.events_processed for result in results.values()
-            )
-            return elapsed, _store_tree(Path(tmp) / "store"), events
-        finally:
-            _shutil.rmtree(tmp, ignore_errors=True)
-
-    cold_best = warm_best = None
-    cold_tree = warm_tree = None
-    events = 0
-    for rep in range(repeats):
-        cold_seconds, tree, events = one_pass(warm=False)
-        cold_best = min(cold_best or cold_seconds, cold_seconds)
-        if rep == 0:
-            cold_tree = tree
-        warm_seconds, tree, _ = one_pass(warm=True)
-        warm_best = min(warm_best or warm_seconds, warm_seconds)
-        if rep == 0:
-            warm_tree = tree
-    return {
-        "scenario": scenario.name,
-        "node_count": node_count,
-        "field_size": field,
-        "protocols": list(scenario.protocols),
-        "rates": rate_count,
-        "seeds": seeds,
-        "duration": duration,
-        "cells": len(cells),
-        "events": events,
-        "jobs": jobs,
-        "repeats": repeats,
-        "cold_seconds": cold_best,
-        "warm_seconds": warm_best,
-        "cold_cells_per_second": (
-            len(cells) / cold_best if cold_best else 0.0
-        ),
-        "warm_cells_per_second": (
-            len(cells) / warm_best if warm_best else 0.0
-        ),
-        "speedup": cold_best / warm_best if warm_best else 0.0,
-        "stores_identical": cold_tree == warm_tree,
-    }
-
-
-def run_sweep_benchmarks(
-    node_count: int = 500,
-    rates: int = 10,
-    seeds: int = 2,
-    duration: float = 2.0,
-    field: float = 3700.0,
-    jobs: int = 2,
-    repeats: int = 2,
-) -> dict:
-    """Warm-worker dispatch benchmark report (``BENCH_sweep.json``).
-
-    One multi-seed shared-placement campaign (10 rates x 2 seeds at a
-    connectivity-constrained sparse density, see :func:`_sweep_scenario`)
-    dispatched cold and warm into fresh stores, byte-compared, best-of-2.
-    CI runs ``python -m repro perf-sweep`` per push and uploads the report
-    as ``BENCH_sweep_ci.json``; the committed ``BENCH_sweep.json`` is the
-    dev-machine baseline quoted in ``docs/performance.md``.  Keep the
-    default workload when regenerating, or reports stop being comparable
-    (the speedup grows with placement cost and shrinks with seeds per
-    batch).
-    """
-    return {
-        "version": BENCH_FORMAT_VERSION,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "benchmarks": {
-            "warm_sweep": _bench_warm_sweep(
-                node_count, rates, seeds, duration, field, jobs, repeats
-            ),
-        },
-    }
-
-
-def format_sweep_report(report: dict) -> str:
-    """Aligned summary lines of a sweep benchmark report."""
-    entry = report["benchmarks"]["warm_sweep"]
-    lines = [
-        "Warm-worker sweep dispatch (%s %s, %s)"
-        % (report["implementation"], report["python"], report["platform"]),
-        "  campaign: %d nodes, %d rates x %d seeds = %d cells, jobs=%d"
-        % (
-            entry["node_count"],
-            entry["rates"],
-            entry["seeds"],
-            entry["cells"],
-            entry["jobs"],
-        ),
-        "  cold %6.2f s (%5.2f cells/s)   warm %6.2f s (%5.2f cells/s)"
-        % (
-            entry["cold_seconds"],
-            entry["cold_cells_per_second"],
-            entry["warm_seconds"],
-            entry["warm_cells_per_second"],
-        ),
-        "  speedup %.2fx  stores byte-identical: %s"
-        % (entry["speedup"], entry["stores_identical"]),
-    ]
     return "\n".join(lines)
 
 

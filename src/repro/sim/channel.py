@@ -12,17 +12,15 @@ Positions are static by default, so all geometry is precomputed:
 builds one distance-sorted neighbor table per node, and
 :meth:`Channel.in_reach` resolves a transmission's receiver set with a
 single bisect over that table instead of re-checking distances per frame.
-The pair scan inside ``freeze`` picks its algorithm by size
-(:meth:`ChannelGeometry.from_positions`): small networks keep the O(N^2)
-scan (vectorized through numpy when importable, pure python otherwise),
-and above :data:`_SPATIAL_HASH_MIN_NODES` a grid-bucket (cell-list)
-spatial hash finds candidate pairs in O(N x degree) — positions are
-binned into ``max_range``-sized cells and only the 3x3 cell neighborhood
-is measured.  Every path re-measures its candidates with ``math.hypot``
-and sorts by ``(distance, rank)``, so all of them produce byte-identical
-tables; a prebuilt :class:`ChannelGeometry` can also be handed to the
-:class:`Channel` constructor so the seeds of one batched sweep group
-share a single geometry pass (see
+The pair scan inside ``freeze`` (:meth:`ChannelGeometry.from_positions`)
+is a grid-bucket (cell-list) spatial hash that finds candidate pairs in
+O(N x degree): positions are binned into ``max_range``-sized cells and
+only each node's 3x3 cell neighborhood is measured.  Candidates are
+re-measured with ``math.hypot`` and sorted by ``(distance, rank)``, so
+the tables are byte-identical to the O(N^2) brute-force scan kept as the
+test oracle (``method="bruteforce"``).  A prebuilt :class:`ChannelGeometry`
+can also be handed to the :class:`Channel` constructor so the seeds of
+one batched sweep group share a single geometry pass (see
 :func:`repro.experiments.runner.run_batch`).
 Receiver order is registration order — the same order the naive scan
 produced — because the order in which ``rx_end`` upcalls fire schedules MAC
@@ -56,6 +54,8 @@ import math
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Mapping
 
+import numpy as np
+
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.state import NodeStateArrays
@@ -80,22 +80,12 @@ from repro.sim.channel_models import (  # noqa: F401  (re-exports)
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.phy import Phy
 
-try:  # numpy accelerates the freeze-time pair scan; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked toolchain ships numpy
-    _np = None
-
-#: Below this node count the python scan beats the numpy round trip.
-_VECTORIZE_MIN_NODES = 32
-
-#: At and above this node count the grid-bucket spatial hash replaces the
-#: dense O(N^2) candidate pass, and :meth:`Channel.freeze` keeps a live
+#: At and above this node count :meth:`Channel.freeze` keeps a live
 #: :class:`_SpatialIndex` so mobility repair touches O(degree) tables per
-#: move instead of all N.  The crossover is where the hash's constant
-#: costs (bucket binning, per-cell-group dispatch) drop below the dense
-#: path's N^2 arithmetic — measured with ``repro perf-scale`` (see
-#: ``docs/performance.md``); correctness never depends on it, because all
-#: candidate methods feed the same exact re-measurement.
+#: move instead of all N.  Below it, patching every table is cheaper than
+#: maintaining the index (measured with ``repro perf-scale`` and on the
+#: ``mobile-small`` preset, see ``docs/performance.md``); correctness
+#: never depends on it, because both repair paths produce identical tables.
 _SPATIAL_HASH_MIN_NODES = 768
 
 #: Relative slack on the squared-distance candidate prefilter.  The numpy
@@ -118,8 +108,8 @@ class ChannelGeometry:
     the same entries in rank (registration) order — keyed to a specific
     node ordering and position set.  All distances are ``math.hypot``
     values, so tables instantiated from a geometry are **bit-identical**
-    to tables computed from scratch; the numpy path below only changes how
-    candidate pairs are *found*, never how they are measured.
+    to tables computed from scratch; the spatial hash below only changes
+    how candidate pairs are *found*, never how they are measured.
 
     Instances are immutable (tuples throughout) and safe to share: every
     ``freeze`` builds fresh mutable lists from them, so one simulation's
@@ -165,7 +155,7 @@ class ChannelGeometry:
         cls,
         positions: Mapping[int, tuple[float, float]],
         max_range: float,
-        method: str = "auto",
+        method: str = "grid",
         state: "NodeStateArrays | None" = None,
     ) -> "ChannelGeometry":
         """Compute the geometry of ``positions`` at ``max_range``.
@@ -176,14 +166,14 @@ class ChannelGeometry:
         :meth:`Channel.freeze`.
 
         ``method`` selects how candidate pairs are *found* (see
-        :func:`_neighbor_candidates`): ``auto`` picks by size, ``grid``
-        forces the spatial hash, ``dense`` the numpy all-pairs matrix and
-        ``bruteforce`` the pure O(N^2) reference scan.  Every method feeds
-        the same exact ``math.hypot`` re-measurement and ``(distance,
-        rank)`` sort below, so the choice can never change the result —
-        only how long it takes.  ``state`` optionally passes the channel's
-        live :class:`~repro.sim.state.NodeStateArrays` so the vectorized
-        paths reuse its coordinate columns instead of rebuilding them.
+        :func:`_neighbor_candidates`): ``grid`` is the spatial hash and
+        ``bruteforce`` the pure O(N^2) reference scan the tests compare it
+        against.  Both feed the same exact ``math.hypot`` re-measurement
+        and ``(distance, rank)`` sort below, so the choice can never
+        change the result — only how long it takes.  ``state`` optionally
+        passes the channel's live :class:`~repro.sim.state.NodeStateArrays`
+        so the hash reuses its coordinate columns instead of rebuilding
+        them.
         """
         if max_range <= 0:
             raise ValueError("max_range must be positive")
@@ -214,24 +204,12 @@ class ChannelGeometry:
             order, dict(positions), max_range, dists, dist_ranks, ranks, ids
         )
 
-    @classmethod
-    def build(
-        cls,
-        positions: Mapping[int, tuple[float, float]],
-        max_range: float,
-        method: str = "auto",
-        state: "NodeStateArrays | None" = None,
-    ) -> "ChannelGeometry":
-        """Alias of :meth:`from_positions` (the original name, kept for
-        existing callers)."""
-        return cls.from_positions(positions, max_range, method=method, state=state)
-
 
 def _neighbor_candidates(
     positions: Mapping[int, tuple[float, float]],
     order: tuple[int, ...],
     max_range: float,
-    method: str = "auto",
+    method: str = "grid",
     state: "NodeStateArrays | None" = None,
 ) -> dict[int, list[int]]:
     """Per-node candidate neighbor lists (a superset of the in-range sets).
@@ -240,53 +218,25 @@ def _neighbor_candidates(
     ``math.hypot`` and sorts entries by the total ``(distance, rank)``
     order, so candidate *generation* — method, enumeration order, slack
     margin — is structurally unable to change the resulting tables; only
-    a missed true neighbor could, and every method below provably returns
-    a superset of the in-range sets.
+    a missed true neighbor could, and both methods provably return a
+    superset of the in-range sets.
 
-    ``bruteforce``
-        Every other node is a candidate — the pure O(N^2) reference scan.
-    ``dense``
-        The all-pairs squared-distance matrix in one numpy pass with
-        :data:`_CANDIDATE_SLACK` margin (falls back to ``bruteforce``
-        without numpy).
     ``grid``
         The cell-list spatial hash: nodes binned into ``max_range``-sized
         buckets, candidates drawn from each node's 3x3 cell neighborhood
         — O(N x degree) instead of O(N^2).
-    ``auto``
-        ``grid`` at :data:`_SPATIAL_HASH_MIN_NODES` and above, else
-        ``dense`` when numpy is importable and N >=
-        :data:`_VECTORIZE_MIN_NODES`, else ``bruteforce``.
+    ``bruteforce``
+        Every other node is a candidate — the pure O(N^2) reference scan.
     """
-    if method == "auto":
-        if len(order) >= _SPATIAL_HASH_MIN_NODES:
-            method = "grid"
-        elif _np is not None and len(order) >= _VECTORIZE_MIN_NODES:
-            method = "dense"
-        else:
-            method = "bruteforce"
-    if method == "bruteforce" or (method == "dense" and _np is None):
+    if method == "grid":
+        return _grid_candidates(positions, order, max_range, state)
+    if method == "bruteforce":
         return {
             node_id: [other for other in order if other != node_id]
             for node_id in order
         }
-    if method == "dense":
-        xs, ys = _coordinate_columns(positions, order, state)
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        squared = dx * dx + dy * dy
-        limit = (max_range * (1.0 + _CANDIDATE_SLACK)) ** 2
-        mask = squared <= limit
-        _np.fill_diagonal(mask, False)
-        return {
-            node_id: [order[j] for j in _np.nonzero(mask[i])[0]]
-            for i, node_id in enumerate(order)
-        }
-    if method == "grid":
-        return _grid_candidates(positions, order, max_range, state)
     raise ValueError(
-        "unknown candidate method %r; expected auto/bruteforce/dense/grid"
-        % (method,)
+        "unknown candidate method %r; expected grid/bruteforce" % (method,)
     )
 
 
@@ -296,11 +246,11 @@ def _coordinate_columns(
     state: "NodeStateArrays | None",
 ):
     """Coordinate arrays in rank order, reusing shared state when valid."""
-    if state is not None and state.uses_numpy and state.ids == order:
+    if state is not None and state.ids == order:
         return state.xs, state.ys
     n = len(order)
-    xs = _np.empty(n, dtype=_np.float64)
-    ys = _np.empty(n, dtype=_np.float64)
+    xs = np.empty(n, dtype=np.float64)
+    ys = np.empty(n, dtype=np.float64)
     for i, node_id in enumerate(order):
         xs[i], ys[i] = positions[node_id]
     return xs, ys
@@ -326,27 +276,23 @@ def _grid_candidates(
     realistic field, so the window provably covers every in-range
     neighbor.  Nodes sharing a window are processed as one group through
     numpy (gather the window's bucket members once, one broadcast
-    squared-distance prefilter); without numpy the whole window membership
-    is returned as candidates and the caller's exact scan does the rest.
+    squared-distance prefilter).
     """
     cell = max_range
     margin = max_range * (1.0 + _CANDIDATE_SLACK)
-    if _np is None:
-        return _grid_candidates_python(positions, order, cell, margin)
-    n = len(order)
     xs, ys = _coordinate_columns(positions, order, state)
     inv = 1.0 / cell
-    cell_x = _np.floor(xs * inv).astype(_np.int64)
-    cell_y = _np.floor(ys * inv).astype(_np.int64)
-    lo_x = _np.floor((xs - margin) * inv).astype(_np.int64)
-    hi_x = _np.floor((xs + margin) * inv).astype(_np.int64)
-    lo_y = _np.floor((ys - margin) * inv).astype(_np.int64)
-    hi_y = _np.floor((ys + margin) * inv).astype(_np.int64)
+    cell_x = np.floor(xs * inv).astype(np.int64)
+    cell_y = np.floor(ys * inv).astype(np.int64)
+    lo_x = np.floor((xs - margin) * inv).astype(np.int64)
+    hi_x = np.floor((xs + margin) * inv).astype(np.int64)
+    lo_y = np.floor((ys - margin) * inv).astype(np.int64)
+    hi_y = np.floor((ys + margin) * inv).astype(np.int64)
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(cell_x.tolist(), cell_y.tolist())):
         buckets.setdefault(key, []).append(i)
     bucket_rows = {
-        key: _np.array(members, dtype=_np.intp)
+        key: np.array(members, dtype=np.intp)
         for key, members in buckets.items()
     }
     windows: dict[tuple[int, int, int, int], list[int]] = {}
@@ -365,8 +311,8 @@ def _grid_candidates(
             )
             if key in bucket_rows
         ]
-        cand = blocks[0] if len(blocks) == 1 else _np.concatenate(blocks)
-        member_rows = _np.array(members, dtype=_np.intp)
+        cand = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        member_rows = np.array(members, dtype=np.intp)
         dx = xs[cand][None, :] - xs[member_rows][:, None]
         dy = ys[cand][None, :] - ys[member_rows][:, None]
         close = (dx * dx + dy * dy) <= limit
@@ -375,37 +321,6 @@ def _grid_candidates(
             out[node_id] = [
                 order[j] for j in cand[close[row]].tolist() if j != i
             ]
-    return out
-
-
-def _grid_candidates_python(
-    positions: Mapping[int, tuple[float, float]],
-    order: tuple[int, ...],
-    cell: float,
-    margin: float,
-) -> dict[int, list[int]]:
-    """Pure-python cell-list candidates (no prefilter: whole windows).
-
-    Float ``//`` is the exact floor of the correctly rounded quotient —
-    monotone in the numerator — so the per-node windows cover every
-    in-range neighbor for the same reason as the numpy path.
-    """
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for node_id in order:
-        x, y = positions[node_id]
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(node_id)
-    out: dict[int, list[int]] = {}
-    for node_id in order:
-        x, y = positions[node_id]
-        x_lo, x_hi = int((x - margin) // cell), int((x + margin) // cell)
-        y_lo, y_hi = int((y - margin) // cell), int((y + margin) // cell)
-        candidates: list[int] = []
-        for a in range(x_lo, x_hi + 1):
-            for b in range(y_lo, y_hi + 1):
-                members = buckets.get((a, b))
-                if members:
-                    candidates.extend(members)
-        out[node_id] = [other for other in candidates if other != node_id]
     return out
 
 
@@ -579,7 +494,7 @@ class Channel:
         at :data:`_SPATIAL_HASH_MIN_NODES` and above.  Both settings
         produce bit-identical tables — the flag exists so the equivalence
         suite can exercise the indexed path at small N and the reference
-        path at large N.
+        path at large N, and so ``repro perf-scale`` can time both.
     model:
         Optional :class:`~repro.sim.channel_models.ChannelModel` deciding
         per-reception admission among the in-reach candidates.  Geometry
@@ -680,12 +595,11 @@ class Channel:
         front-load the O(N^2) geometry pass.  Registering another PHY
         un-freezes the channel and the next use re-freezes it.
 
-        The pair scan runs through :class:`ChannelGeometry` — vectorized
-        when numpy is importable, plain python otherwise, and skipped
-        entirely when a still-valid prebuilt geometry was handed to the
-        constructor.  All three paths produce bit-identical tables (the
-        pinned digests of ``tests/test_orchestration.py`` run over every
-        one of them).
+        The pair scan runs through :class:`ChannelGeometry`'s spatial hash,
+        and is skipped entirely when a still-valid prebuilt geometry was
+        handed to the constructor.  Both paths produce bit-identical
+        tables (the pinned digests of ``tests/test_orchestration.py`` run
+        over each).
         """
         self._ranks = {node_id: rank for rank, node_id in enumerate(self._phys)}
         geometry = self._geometry
@@ -694,7 +608,7 @@ class Channel:
             self.geometry_mismatches += 1
         if geometry is None and tuple(self._phys) == tuple(self.positions):
             # The standard fully-registered network: ranks equal position
-            # order, so the (possibly vectorized) geometry pass applies.
+            # order, so the spatial-hash geometry pass applies.
             geometry = ChannelGeometry.from_positions(
                 self.positions, self.max_range, state=self.state
             )

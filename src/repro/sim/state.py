@@ -23,22 +23,13 @@ through arrays would slow the simulator down, not speed it up.
 Node objects stay views over this state: ``Node.position`` already reads
 through the channel, and the channel reads/writes the arrays here, so
 there is exactly one live copy of every coordinate.
-
-numpy is optional everywhere in this package; without it the columns fall
-back to ``array.array('d')``, which preserves the API (indexing, len,
-iteration) minus vectorized math — exactly what the pure-python geometry
-fallback needs.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-try:  # numpy accelerates bulk math; never required.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked toolchain ships numpy
-    _np = None
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.energy_model import NodeEnergy
@@ -61,20 +52,10 @@ class NodeStateArrays:
         self.ids = ids
         self.index_of = {node_id: row for row, node_id in enumerate(ids)}
         n = len(ids)
-        if _np is not None:
-            self.xs = _np.zeros(n, dtype=_np.float64)
-            self.ys = _np.zeros(n, dtype=_np.float64)
-            self.energy_total = _np.zeros(n, dtype=_np.float64)
-            self.state_since = _np.zeros(n, dtype=_np.float64)
-        else:  # pragma: no cover - exercised via the no-numpy test rig
-            self.xs = array("d", bytes(8 * n))
-            self.ys = array("d", bytes(8 * n))
-            self.energy_total = array("d", bytes(8 * n))
-            self.state_since = array("d", bytes(8 * n))
-
-    @property
-    def uses_numpy(self) -> bool:
-        return _np is not None
+        self.xs = np.zeros(n, dtype=np.float64)
+        self.ys = np.zeros(n, dtype=np.float64)
+        self.energy_total = np.zeros(n, dtype=np.float64)
+        self.state_since = np.zeros(n, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.ids)

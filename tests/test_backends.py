@@ -9,7 +9,7 @@ Covers the distributed-campaign half of the reporting/backends subsystem:
 * backend parity — the same runs cached under either backend record the
   same keys and payload digests (including the pinned TINY digest), and
   a warm sqlite cache serves hits exactly like a warm JSON cache;
-* :func:`merge_stores` — the sixth leg of the determinism contract:
+* :func:`merge_stores` — the merged leg of the five-way determinism contract:
   shards cached under *different* backends merge into a store
   byte-identical to a single-machine reference, overlap is fine when
   digests agree, divergent payloads raise naming the key, corrupt
@@ -274,7 +274,7 @@ class TestMergeStores:
     def test_mixed_backend_shards_merge_byte_identical(
         self, tmp_path, tiny, tiny_results
     ):
-        """The sixth contract leg: a campaign sharded across a JSON store
+        """The merged contract leg: a campaign sharded across a JSON store
         and a sqlite store merges into a directory byte-identical to the
         single-machine reference sweep, pinned digest included."""
         reference = ResultStore(tmp_path / "reference")

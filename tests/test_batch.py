@@ -3,8 +3,9 @@
 Covers the contracts the batched dispatch layer adds on top of PR 1's
 orchestrator:
 
-* the vectorized channel-geometry kernel produces **bit-identical** tables
-  to the pure-python scan, and a prebuilt/shared geometry to a fresh one;
+* the spatial-hash channel-geometry kernel produces **bit-identical**
+  tables to the brute-force scan, and a prebuilt/shared geometry to a
+  fresh one;
 * ``run_batch`` equals per-seed ``run_single`` for shared-placement and
   per-seed-placement scenarios alike (mobility included — shared geometry
   must never leak one seed's table patches into the next);
@@ -23,7 +24,6 @@ import random
 
 import pytest
 
-import repro.sim.channel as channel_mod
 from repro.cli import main as cli_main
 from repro.experiments.parallel import (
     GridBatch,
@@ -88,32 +88,34 @@ class TestChannelGeometry:
             count, 400.0, 400.0, random.Random("geometry-test")
         )
 
-    def test_vectorized_equals_python_fallback(self, monkeypatch):
-        """The numpy candidate pass must not change a single table entry."""
+    def test_grid_equals_bruteforce(self):
+        """The spatial-hash candidate pass must not change a single table
+        entry relative to the brute-force oracle."""
         placement = self._placement(40)
-        assert 40 >= channel_mod._VECTORIZE_MIN_NODES
-        vectorized = ChannelGeometry.build(placement.positions, 250.0)
-        monkeypatch.setattr(channel_mod, "_np", None)
-        fallback = ChannelGeometry.build(placement.positions, 250.0)
-        assert vectorized.dists == fallback.dists
-        assert vectorized.dist_ranks == fallback.dist_ranks
-        assert vectorized.ranks == fallback.ranks
-        assert vectorized.ids == fallback.ids
+        grid = ChannelGeometry.from_positions(placement.positions, 250.0)
+        brute = ChannelGeometry.from_positions(
+            placement.positions, 250.0, method="bruteforce"
+        )
+        assert grid.dists == brute.dists
+        assert grid.dist_ranks == brute.dist_ranks
+        assert grid.ranks == brute.ranks
+        assert grid.ids == brute.ids
 
-    def test_distance_ties_break_identically(self, monkeypatch):
+    def test_distance_ties_break_identically(self):
         """Grid placements are all ties; orderings must still agree."""
         from repro.net.topology import grid_placement
 
-        placement = grid_placement(7, 300.0, 300.0)  # 49 nodes >= threshold
-        vectorized = ChannelGeometry.build(placement.positions, 90.0)
-        monkeypatch.setattr(channel_mod, "_np", None)
-        fallback = ChannelGeometry.build(placement.positions, 90.0)
-        assert vectorized.dists == fallback.dists
-        assert vectorized.dist_ranks == fallback.dist_ranks
+        placement = grid_placement(7, 300.0, 300.0)  # 49 nodes
+        grid = ChannelGeometry.from_positions(placement.positions, 90.0)
+        brute = ChannelGeometry.from_positions(
+            placement.positions, 90.0, method="bruteforce"
+        )
+        assert grid.dists == brute.dists
+        assert grid.dist_ranks == brute.dist_ranks
 
     def test_prebuilt_geometry_run_is_bit_identical(self, tiny_grid):
         base = run_single(tiny_grid, "DSR-ODPM", 2.0, 1)
-        geometry = ChannelGeometry.build(
+        geometry = ChannelGeometry.from_positions(
             tiny_grid.placement(1).positions, tiny_grid.card.max_range
         )
         shared = WirelessNetwork(
@@ -130,7 +132,7 @@ class TestChannelGeometry:
         mismatch (full coverage in ``tests/test_spatial_hash.py``).
         """
         other = self._placement(9)
-        stale = ChannelGeometry.build(
+        stale = ChannelGeometry.from_positions(
             other.positions, tiny_grid.card.max_range
         )
         base = run_single(tiny_grid, "DSR-ODPM", 2.0, 1)
@@ -143,7 +145,7 @@ class TestChannelGeometry:
 
     def test_freeze_from_geometry_matches_fresh_tables(self, tiny_grid):
         fresh = WirelessNetwork(tiny_grid.config("DSR-ODPM", 2.0, 1))
-        geometry = ChannelGeometry.build(
+        geometry = ChannelGeometry.from_positions(
             tiny_grid.placement(1).positions, tiny_grid.card.max_range
         )
         shared = WirelessNetwork(
@@ -211,14 +213,16 @@ class TestRunBatch:
         """Cached seeds never re-simulate; only the misses form a batch."""
         store = ResultStore(tmp_path)
         cells = grid_cells(tiny_grid)  # seeds 1..3
-        run_grid(tiny_grid, cells[:1], store=store, batch=True)
+        run_grid(tiny_grid, cells[:1], store=store)
         assert store.writes == 1
-        full = run_grid(tiny_grid, cells, store=store, batch=True)
+        full = run_grid(tiny_grid, cells, store=store)
         assert store.writes == 3  # seeds 2-3 only
         assert store.hits == 1
-        reference = run_grid(tiny_grid, cells, batch=False)
         for cell in cells:
-            assert full[cell].to_payload() == reference[cell].to_payload()
+            reference = run_single(
+                tiny_grid, cell.protocol, cell.rate_kbps, cell.seed
+            )
+            assert full[cell].to_payload() == reference.to_payload()
 
     def test_fixed_placement_enters_fingerprint(self, tiny_random):
         pinned = tiny_random.with_fixed_placement(7)
@@ -283,10 +287,12 @@ class TestBatchCells:
         """run_many-style single group + jobs=3 must split, not serialize,
         and stay bit-identical."""
         cells = grid_cells(tiny_grid)  # one group, seeds 1..3
-        reference = run_grid(tiny_grid, cells, jobs=1, batch=False)
-        split = run_grid(tiny_grid, cells, jobs=3, batch=True)
+        split = run_grid(tiny_grid, cells, jobs=3)
         for cell in cells:
-            assert split[cell].to_payload() == reference[cell].to_payload()
+            reference = run_single(
+                tiny_grid, cell.protocol, cell.rate_kbps, cell.seed
+            )
+            assert split[cell].to_payload() == reference.to_payload()
 
     def test_reporter_counts_batches_in_cells(self):
         import io
@@ -344,7 +350,7 @@ class TestMidBatchFailure:
         scenario = _exploding()
         cells = grid_cells(scenario)
         with pytest.raises(GridCellError) as excinfo:
-            run_grid(scenario, cells, jobs=2, batch=True)
+            run_grid(scenario, cells, jobs=2)
         assert excinfo.value.cell == GridCell("DSR-ODPM", 2.0, 2)
 
     def test_error_pickle_roundtrip_keeps_cell_and_message(self):

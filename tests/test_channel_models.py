@@ -293,7 +293,7 @@ class TestDiscDifferential:
 
 
 class TestLossyDeterminismContract:
-    """Each lossy model is pinned under the four dispatch modes."""
+    """Each lossy model is pinned serial, parallel, batched and cached."""
 
     #: sha256 of the (DSR-ODPM, 2 Kbit/s, seed 1) payload of the active
     #: 3x3 fixture under each non-default channel spec.  Recorded on the
@@ -319,12 +319,15 @@ class TestLossyDeterminismContract:
         scenario = active.with_channel(spec)
         cells = grid_cells(scenario, ("DSR-ODPM",), (2.0,), seeds=(1, 2))
         pinned = GridCell("DSR-ODPM", 2.0, 1)
-        serial = run_grid(scenario, cells, jobs=1, batch=False)
-        parallel = run_grid(scenario, cells, jobs=2, batch=False)
-        batched = run_grid(scenario, cells, jobs=2, batch=True)
+        # One single-cell batch per seed, then both seeds as one batch.
+        serial = {
+            cell: run_grid(scenario, [cell], jobs=1)[cell] for cell in cells
+        }
+        parallel = run_grid(scenario, cells, jobs=2)
+        batched = run_grid(scenario, cells, jobs=1)
         store = ResultStore(tmp_path)
-        run_grid(scenario, cells, jobs=1, batch=True, store=store)
-        cached = run_grid(scenario, cells, jobs=1, batch=True, store=store)
+        run_grid(scenario, cells, jobs=1, store=store)
+        cached = run_grid(scenario, cells, jobs=1, store=store)
         assert store.hits == len(cells)  # second pass was pure cache
         for cell in cells:
             reference = serial[cell].to_payload()

@@ -242,9 +242,9 @@ class TestDeterminismContract:
     )
 
     #: sha256 of the tiny fixture's (DSR-ODPM, 2 Kbit/s, seed 1) payload —
-    #: the cell the four-way (serial == parallel == cached == batched)
-    #: contract below is pinned against.  Recorded on the batched-execution
-    #: PR; any dispatch-mode divergence breaks it.
+    #: the cell the serial == parallel == cached legs of the contract
+    #: below are pinned against (the resumed and merged legs pin it in
+    #: ``tests/test_resilience.py`` and ``tests/test_backends.py``).
     TINY_CELL_DIGEST = (
         "d038f4c678d5f4e86895ea42fa481e55b91603ff1abe311a95bff03765dfc914"
     )
@@ -267,33 +267,31 @@ class TestDeterminismContract:
 
         scenario = small_network(scale="smoke")
         cell = GridCell("DSR-ODPM", 8.0, 1)
-        results = run_grid(scenario, [cell], batch=True)
+        results = run_grid(scenario, [cell])
         assert self._digest(results[cell].to_payload()) == self.FIG8_CELL_DIGEST
 
     def test_four_way_contract_pinned(self, tiny, tmp_path):
-        """serial == parallel == cached == batched == warm, bit for bit.
+        """serial == parallel == cached, bit for bit.
 
-        One grid, five execution modes; every mode must reproduce the
+        One grid, three execution modes; every mode must reproduce the
         recorded digest for the pinned cell and identical payloads for
-        every other cell.  (The warm leg's store-byte equivalence and
-        resilience behaviour are pinned in ``tests/test_warm_sweep.py``.)
+        every other cell.  The parallel leg runs pooled and store-backed;
+        the pooled store's bytes are pinned against a serial store's in
+        ``tests/test_warm_sweep.py``.
         """
         cells = grid_cells(tiny)
-        serial = run_grid(tiny, cells, jobs=1, batch=False)
-        parallel = run_grid(tiny, cells, jobs=2, batch=False)
-        batched = run_grid(tiny, cells, jobs=2, batch=True, warm=False)
-        store = ResultStore(tmp_path)
-        run_grid(tiny, cells, jobs=1, batch=True, store=store)
-        cached = run_grid(tiny, cells, jobs=1, batch=True, store=store)
+        serial = run_grid(tiny, cells, jobs=1)
+        parallel = run_grid(
+            tiny, cells, jobs=2, store=ResultStore(tmp_path / "pooled")
+        )
+        store = ResultStore(tmp_path / "cached")
+        run_grid(tiny, cells, jobs=1, store=store)
+        cached = run_grid(tiny, cells, jobs=1, store=store)
         assert store.hits == len(cells)  # second pass was pure cache
-        warm_store = ResultStore(tmp_path / "warm")
-        warm = run_grid(tiny, cells, jobs=2, batch=True, store=warm_store)
         for cell in cells:
             reference = serial[cell].to_payload()
             assert parallel[cell].to_payload() == reference
-            assert batched[cell].to_payload() == reference
             assert cached[cell].to_payload() == reference
-            assert warm[cell].to_payload() == reference
         pinned = GridCell("DSR-ODPM", 2.0, 1)
         assert self._digest(serial[pinned].to_payload()) == self.TINY_CELL_DIGEST
 

@@ -61,8 +61,9 @@ from repro.experiments.store import ResultStore, cell_key
 
 #: The pinned digest of the tiny fixture's (DSR-ODPM, 2 Kbit/s, seed 1)
 #: cell — the same constant ``tests/test_orchestration.py`` pins the
-#: four-way contract against.  The resilience legs below (crashed-and-
-#: retried, interrupted-then-resumed) must reproduce it bit for bit.
+#: serial == parallel == cached legs against.  The resilience legs below
+#: (crashed-and-retried, interrupted-then-resumed) must reproduce it bit
+#: for bit.
 TINY_CELL_DIGEST = (
     "d038f4c678d5f4e86895ea42fa481e55b91603ff1abe311a95bff03765dfc914"
 )
@@ -99,8 +100,15 @@ def _digests(results) -> dict:
 
 @pytest.fixture
 def serial_digests(tiny):
-    """Reference digests from an undisturbed serial, unbatched run."""
+    """Reference digests from an undisturbed serial run."""
     return _digests(run_grid(tiny, grid_cells(tiny)))
+
+
+@pytest.fixture
+def one_seed_cells() -> list[GridCell]:
+    """Four (protocol, rate) groups of one seed each: every batch is one
+    cell, so per-cell progress, timeouts and failures stay per cell."""
+    return [GridCell("DSR-ODPM", rate, 1) for rate in (2.0, 4.0, 6.0, 8.0)]
 
 
 def _arm_faults(monkeypatch, tmp_path, spec: str):
@@ -181,9 +189,8 @@ class TestTracebackAcrossPool:
         with pytest.raises(GridCellError) as excinfo:
             run_grid(
                 tiny,
-                [GridCell("NOPE", 2.0, 1), GridCell("NOPE", 2.0, 2)],
+                [GridCell("NOPE", 2.0, 1), GridCell("NOPE", 4.0, 1)],
                 jobs=2,
-                batch=False,
             )
         assert excinfo.value.cause_traceback is not None
         assert "ValueError" in excinfo.value.cause_traceback
@@ -218,7 +225,6 @@ class TestContinueOnError:
         results = run_grid(
             tiny,
             cells,
-            batch=False,
             policy=FaultPolicy(on_error="continue"),
             failures=failures,
         )
@@ -253,7 +259,6 @@ class TestContinueOnError:
             tiny,
             grid_cells(tiny),
             jobs=2,
-            batch=True,
             policy=FaultPolicy(on_error="continue"),
             failures=failures,
         )
@@ -284,7 +289,6 @@ class TestCrashRecovery:
             tiny,
             grid_cells(tiny),
             jobs=2,
-            batch=True,
             policy=FaultPolicy(max_retries=6, backoff_base_s=0.01),
         )
         markers = list(faults.iterdir())
@@ -327,7 +331,7 @@ class TestCrashRecovery:
             assert "crashed" in failure.cause
 
     def test_timeout_watchdog_reclaims_a_wedged_worker(
-        self, tiny, monkeypatch, tmp_path
+        self, tiny, one_seed_cells, monkeypatch, tmp_path
     ):
         """A cell that hangs forever is terminated and reported, siblings run."""
         _arm_faults(monkeypatch, tmp_path, ":99:hang:2#1")
@@ -335,9 +339,8 @@ class TestCrashRecovery:
         started = time.monotonic()
         results = run_grid(
             tiny,
-            grid_cells(tiny),
+            one_seed_cells,
             jobs=2,
-            batch=False,
             policy=FaultPolicy(
                 max_retries=1,
                 backoff_base_s=0.01,
@@ -354,7 +357,7 @@ class TestCrashRecovery:
         assert "timed out" in hung.cause
         assert hung.transient
         # The three healthy cells all completed despite collateral kills.
-        assert set(results) == set(grid_cells(tiny)) - {PINNED_CELL}
+        assert set(results) == set(one_seed_cells) - {PINNED_CELL}
 
 
 class TestManifest:
@@ -465,15 +468,17 @@ class TestInterruptGuard:
 
 class TestInterruptedThenResumed:
     def test_five_way_contract_interrupted_leg(
-        self, tiny, tmp_path, serial_digests
+        self, tiny, one_seed_cells, tmp_path
     ):
         """Interrupt after one cell, resume, match the serial digests.
 
         The interruption is triggered deterministically (the guard flag
-        flips after the first completed cell), so this test pins the
-        exact done/pending split rather than racing a real signal.
+        flips after the first completed batch, here one cell), so this
+        test pins the exact done/pending split rather than racing a real
+        signal.
         """
-        cells = grid_cells(tiny)
+        cells = one_seed_cells
+        serial_digests = _digests(run_grid(tiny, cells))
         store = ResultStore(tmp_path / "cache")
         manifest_path = tmp_path / "manifest.json"
         guard = InterruptGuard()
@@ -487,7 +492,6 @@ class TestInterruptedThenResumed:
             run_grid(
                 tiny,
                 cells,
-                batch=False,
                 store=store,
                 progress=InterruptAfterFirst(total=len(cells), enabled=False),
                 manifest=SweepManifest.open(manifest_path),
@@ -506,7 +510,6 @@ class TestInterruptedThenResumed:
         resumed = run_grid(
             tiny,
             cells,
-            batch=False,
             store=resumed_store,
             manifest=checkpoint,
             interrupt=InterruptGuard(),

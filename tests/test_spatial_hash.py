@@ -8,7 +8,7 @@ distances, coordinates pinned to bucket boundaries, whole networks inside
 one bucket).  This module asserts exactly that, three ways:
 
 * :class:`TestGeometryEquivalence` — ``ChannelGeometry`` built with
-  ``method="grid"`` equals ``method="bruteforce"`` (and ``"dense"``) on
+  ``method="grid"`` equals ``method="bruteforce"`` on
   adversarial fixtures and hypothesis-random position sets;
 * :class:`TestIndexedMobilityRepair` — ``update_position`` through the
   live ``_SpatialIndex`` equals a fresh freeze and the unindexed patch
@@ -182,9 +182,7 @@ class TestGeometryEquivalence:
             positions, RANGE, method="bruteforce"
         )
         grid = ChannelGeometry.from_positions(positions, RANGE, method="grid")
-        dense = ChannelGeometry.from_positions(positions, RANGE, method="dense")
         _assert_same_geometry(brute, grid)
-        _assert_same_geometry(brute, dense)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_SETS))
     def test_adversarial_sets_identical_at_sensor_range(self, name):
@@ -220,7 +218,7 @@ class TestGeometryEquivalence:
     def test_exact_range_boundary_included(self):
         """A pair at exactly max_range is a link — in every method."""
         positions = {0: (0.0, 0.0), 1: (RANGE, 0.0), 2: (0.0, RANGE + 1e-9)}
-        for method in ("bruteforce", "grid", "dense"):
+        for method in ("bruteforce", "grid"):
             geometry = ChannelGeometry.from_positions(
                 positions, RANGE, method=method
             )
@@ -247,15 +245,14 @@ class TestGeometryEquivalence:
         grid = ChannelGeometry.from_positions(positions, reach, method="grid")
         _assert_same_geometry(brute, grid)
 
-    def test_auto_uses_grid_above_crossover(self, monkeypatch):
-        """`auto` must dispatch to the hash at scale (and stay identical)."""
+    def test_default_method_is_grid(self, monkeypatch):
+        """The default freeze dispatches to the hash (and stays identical)."""
         import repro.sim.channel as channel_module
 
         rng = random.Random(11)
         positions = {
             i: (rng.uniform(0, 1500), rng.uniform(0, 1500)) for i in range(96)
         }
-        monkeypatch.setattr(channel_module, "_SPATIAL_HASH_MIN_NODES", 96)
         calls = []
         original = channel_module._grid_candidates
 
@@ -264,12 +261,12 @@ class TestGeometryEquivalence:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(channel_module, "_grid_candidates", _spy)
-        auto = ChannelGeometry.from_positions(positions, RANGE)
-        assert calls, "auto did not dispatch to the spatial hash"
+        default = ChannelGeometry.from_positions(positions, RANGE)
+        assert calls, "the default did not dispatch to the spatial hash"
         brute = ChannelGeometry.from_positions(
             positions, RANGE, method="bruteforce"
         )
-        _assert_same_geometry(brute, auto)
+        _assert_same_geometry(brute, default)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="candidate method"):

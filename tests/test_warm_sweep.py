@@ -1,13 +1,11 @@
-"""Warm-worker dispatch tests: the contract's seventh leg (warm == cold).
+"""Pooled-sweep tests: shared-placement campaigns and the dispatch helpers.
 
-The warm path changes *where* work happens — placement/geometry memoized
-per worker, store entries written worker-side, only digest receipts
-returned — but must not change a single stored byte.  These tests pin
-that equivalence on both store backends, exercise the crash/fallback
-recovery paths under worker-side writes, and cover the satellites that
-ride along: cost-model scheduling (permutation invariance),
-``_split_for_jobs`` properties, the reporter's events/s + utilization
-readout and its cache-skew-free ETA, and the zombie-free worker reaper.
+A pooled sweep of a shared-placement scenario must leave exactly the
+store a serial sweep leaves — on both store backends, and when injected
+worker crashes force retries.  The module also covers the pieces of the
+dispatch layer around it: ``_split_for_jobs`` properties, the reporter's
+events/s + utilization readout and its cache-skew-free ETA, and the
+zombie-free worker reaper.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.costmodel import SweepCostModel
 from repro.experiments.parallel import (
     GridBatch,
     GridCell,
@@ -33,15 +30,13 @@ from repro.experiments.parallel import (
 from repro.experiments.resilience import (
     FAULT_INJECT_ENV,
     FaultPolicy,
-    SweepManifest,
 )
 from repro.experiments.scenarios import Scenario
-from repro.experiments.store import ResultStore, cell_key
+from repro.experiments.store import ResultStore
 
 #: The pinned digest of the tiny fixture's (DSR-ODPM, 2 Kbit/s, seed 1)
 #: cell — the same constant the orchestration and resilience suites pin
-#: their legs of the determinism contract against.  The warm leg must
-#: reproduce it bit for bit.
+#: their legs of the determinism contract against.
 TINY_CELL_DIGEST = (
     "d038f4c678d5f4e86895ea42fa481e55b91603ff1abe311a95bff03765dfc914"
 )
@@ -94,194 +89,60 @@ def _arm_faults(monkeypatch, tmp_path, spec: str):
     return directory
 
 
-class TestWarmContract:
-    def test_warm_equals_cold_bytes_json(self, tiny, tmp_path):
-        """Worker-side writes produce the exact bytes parent-side did."""
+class TestSharedPlacementPooled:
+    """A shared-placement campaign fanned out over a pool.
+
+    The tiny grid shares one placement across seeds, so every batch
+    reuses one frozen channel geometry inside its worker.  Two (protocol,
+    rate) groups x 2 seeds at ``jobs=2`` must leave the exact store a
+    ``jobs=1`` sweep leaves, on both backends, and reproduce the pinned
+    digest — also when workers die mid-batch and are retried.
+    """
+
+    def test_tiny_grid_shares_placement(self, tiny):
+        assert tiny.shares_placement
+        assert len(batch_cells(grid_cells(tiny))) == 2
+
+    def test_pooled_json_store_bytes_match_serial(self, tiny, tmp_path):
         cells = grid_cells(tiny)
-        cold_store = ResultStore(tmp_path / "cold", backend="json")
-        warm_store = ResultStore(tmp_path / "warm", backend="json")
-        cold = run_grid(tiny, cells, jobs=2, store=cold_store, warm=False)
-        warm = run_grid(tiny, cells, jobs=2, store=warm_store, warm=True)
-        assert _tree(tmp_path / "warm") == _tree(tmp_path / "cold")
-        for cell in cells:
-            assert warm[cell].to_payload() == cold[cell].to_payload()
-        assert _digest(warm[PINNED_CELL]) == TINY_CELL_DIGEST
-        # The writes counter keeps its meaning: one write per cell this
-        # sweep produced, whoever held the pen.
-        assert cold_store.writes == len(cells)
-        assert warm_store.writes == len(cells)
+        serial_store = ResultStore(tmp_path / "serial", backend="json")
+        pooled_store = ResultStore(tmp_path / "pooled", backend="json")
+        run_grid(tiny, cells, jobs=1, store=serial_store)
+        pooled = run_grid(tiny, cells, jobs=2, store=pooled_store)
+        assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
+        assert pooled_store.writes == len(cells)
+        assert _digest(pooled[PINNED_CELL]) == TINY_CELL_DIGEST
 
-    def test_warm_equals_cold_sqlite(self, tiny, tmp_path):
-        """Same equivalence on the sqlite backend, compared logically
-        (two sqlite files with identical rows differ in page bytes)."""
+    def test_pooled_sqlite_entries_match_serial(self, tiny, tmp_path):
+        """Compared logically: two sqlite files with identical rows can
+        differ in page bytes."""
         cells = grid_cells(tiny)
-        cold_store = ResultStore(tmp_path / "cold", backend="sqlite")
-        warm_store = ResultStore(tmp_path / "warm", backend="sqlite")
-        run_grid(tiny, cells, jobs=2, store=cold_store, warm=False)
-        warm = run_grid(tiny, cells, jobs=2, store=warm_store, warm=True)
-        cold_entries = _logical_entries(cold_store)
-        warm_entries = _logical_entries(warm_store)
-        assert warm_entries == cold_entries
-        assert len(warm_entries) == len(cells)
-        assert _digest(warm[PINNED_CELL]) == TINY_CELL_DIGEST
+        serial_store = ResultStore(tmp_path / "serial", backend="sqlite")
+        pooled_store = ResultStore(tmp_path / "pooled", backend="sqlite")
+        run_grid(tiny, cells, jobs=1, store=serial_store)
+        pooled = run_grid(tiny, cells, jobs=2, store=pooled_store)
+        entries = _logical_entries(pooled_store)
+        assert entries == _logical_entries(serial_store)
+        assert len(entries) == len(cells)
+        assert _digest(pooled[PINNED_CELL]) == TINY_CELL_DIGEST
 
-    def test_warm_second_invocation_hits_cache_only(self, tiny, tmp_path):
-        cells = grid_cells(tiny)
-        store = ResultStore(tmp_path / "store")
-        run_grid(tiny, cells, jobs=2, store=store, warm=True)
-        again = ResultStore(tmp_path / "store")
-        results = run_grid(tiny, cells, jobs=2, store=again, warm=True)
-        assert again.hits == len(cells)
-        assert again.writes == 0
-        assert _digest(results[PINNED_CELL]) == TINY_CELL_DIGEST
-
-    def test_warm_fills_a_partially_cached_campaign(self, tiny, tmp_path):
-        """Cache hits and warm-dispatched cells mix without double writes."""
-        cells = grid_cells(tiny)
-        store = ResultStore(tmp_path / "store")
-        head, tail = cells[:1], cells[1:]
-        run_grid(tiny, head, jobs=1, store=store)
-        resumed = ResultStore(tmp_path / "store")
-        results = run_grid(tiny, cells, jobs=2, store=resumed, warm=True)
-        assert resumed.hits == len(head)
-        assert resumed.writes == len(tail)
-        assert _digest(results[PINNED_CELL]) == TINY_CELL_DIGEST
-
-
-class TestWarmResilience:
-    def test_worker_crash_heals_to_pinned_digest(
+    def test_worker_crash_heals_to_serial_bytes(
         self, tiny, monkeypatch, tmp_path
     ):
-        """A worker that dies mid-batch under worker-side writes is
-        retried to the exact cold-path store contents."""
-        _arm_faults(monkeypatch, tmp_path, ":1")
+        """Every cell's first execution kills its worker with os._exit;
+        retries must still converge on the serial store's bytes."""
         cells = grid_cells(tiny)
-        store = ResultStore(tmp_path / "store")
-        policy = FaultPolicy(max_retries=3, backoff_base_s=0.01)
+        serial_store = ResultStore(tmp_path / "serial", backend="json")
+        run_grid(tiny, cells, jobs=1, store=serial_store)
+        faults = _arm_faults(monkeypatch, tmp_path, ":1")
+        pooled_store = ResultStore(tmp_path / "pooled", backend="json")
+        policy = FaultPolicy(max_retries=6, backoff_base_s=0.01)
         results = run_grid(
-            tiny, cells, jobs=2, store=store, warm=True, policy=policy
+            tiny, cells, jobs=2, store=pooled_store, policy=policy
         )
+        assert len(list(faults.iterdir())) == len(cells)  # all crashed once
         assert set(results) == set(cells)
-        assert _digest(results[PINNED_CELL]) == TINY_CELL_DIGEST
-        assert len(_logical_entries(store)) == len(cells)
-
-    def test_bad_receipt_digest_falls_back_to_cold_dispatch(
-        self, tiny, monkeypatch, tmp_path
-    ):
-        """A receipt whose digest does not verify is not trusted: the cell
-        re-runs through the classic path and the sweep still completes.
-
-        The fork start method ships the parent's monkeypatched module to
-        the pool workers, so corrupting every receipt digest here reaches
-        the worker side.
-        """
-        import repro.experiments.runner as runner_module
-
-        real = runner_module.run_batch_receipts
-
-        def forged(*args, **kwargs):
-            return [
-                type(receipt)(
-                    key=receipt.key,
-                    digest="0" * 64,
-                    events=receipt.events,
-                    cached=receipt.cached,
-                )
-                for receipt in real(*args, **kwargs)
-            ]
-
-        monkeypatch.setattr(runner_module, "run_batch_receipts", forged)
-        cells = grid_cells(tiny)
-        store = ResultStore(tmp_path / "store")
-        results = run_grid(tiny, cells, jobs=2, store=store, warm=True)
-        assert set(results) == set(cells)
-        assert _digest(results[PINNED_CELL]) == TINY_CELL_DIGEST
-        # Every cell still ends up stored exactly once.
-        assert len(_logical_entries(store)) == len(cells)
-
-
-class TestCostModelScheduling:
-    def test_order_is_longest_expected_first(self):
-        model = SweepCostModel(duration_s=10.0)
-        units = batch_cells(
-            [
-                GridCell("DSR-ODPM", rate, seed)
-                for rate in (2.0, 8.0, 4.0)
-                for seed in (1, 2)
-            ]
-        )
-        ordered = model.order(units)
-        assert [unit.rate_kbps for unit in ordered] == [8.0, 4.0, 2.0]
-
-    def test_tie_break_is_original_order(self):
-        model = SweepCostModel()
-        units = [
-            GridBatch("DSR-ODPM", 4.0, (1,)),
-            GridBatch("TITAN-PC", 4.0, (1,)),
-            GridBatch("DSR-Active", 4.0, (1,)),
-        ]
-        assert model.order(units) == units
-
-    def test_observations_beat_the_rate_prior(self):
-        """A protocol observed to be cheap at high rate sinks below one
-        observed to be expensive at low rate."""
-        model = SweepCostModel(duration_s=10.0)
-        model.observe("CHEAP", 8.0, events=10)
-        model.observe("DEAR", 2.0, events=10_000)
-        units = [
-            GridBatch("CHEAP", 8.0, (1,)),
-            GridBatch("DEAR", 2.0, (1,)),
-        ]
-        assert model.order(units)[0].protocol == "DEAR"
-
-    def test_expected_events_resolution_order(self):
-        model = SweepCostModel(duration_s=10.0)
-        model.observe("P", 2.0, events=100)
-        # exact (protocol, rate) observation wins
-        assert model.expected_events("P", 2.0) == 100
-        # same protocol, other rate: scaled linearly
-        assert model.expected_events("P", 4.0) == pytest.approx(200)
-        # unseen protocol: any-protocol mean, scaled
-        assert model.expected_events("Q", 4.0) == pytest.approx(200)
-        # cold model: static prior, proportional to rate and duration
-        cold = SweepCostModel(duration_s=10.0)
-        assert cold.expected_events("P", 4.0) == pytest.approx(
-            2 * cold.expected_events("P", 2.0)
-        )
-
-    def test_unit_cost_scales_with_batch_size(self):
-        model = SweepCostModel()
-        single = GridBatch("P", 4.0, (1,))
-        triple = GridBatch("P", 4.0, (1, 2, 3))
-        assert model.unit_cost(triple) == pytest.approx(
-            3 * model.unit_cost(single)
-        )
-
-    @pytest.mark.parametrize("permutation_seed", [1, 2, 3])
-    def test_permutation_invariance(
-        self, tiny, tmp_path, permutation_seed
-    ):
-        """Any dispatch order yields identical store bytes and manifest
-        state — scheduling is pure wall-clock policy."""
-        import random
-
-        cells = grid_cells(tiny)
-        reference_store = ResultStore(tmp_path / "ref")
-        reference_manifest = SweepManifest(tmp_path / "ref-manifest.json")
-        run_grid(
-            tiny, cells, jobs=2, store=reference_store,
-            manifest=reference_manifest, warm=True,
-        )
-        shuffled = list(cells)
-        random.Random(permutation_seed).shuffle(shuffled)
-        store = ResultStore(tmp_path / "perm")
-        manifest = SweepManifest(tmp_path / "perm-manifest.json")
-        results = run_grid(
-            tiny, shuffled, jobs=2, store=store, manifest=manifest,
-            warm=True,
-        )
-        assert _tree(tmp_path / "perm") == _tree(tmp_path / "ref")
-        assert manifest._states == reference_manifest._states
+        assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
         assert _digest(results[PINNED_CELL]) == TINY_CELL_DIGEST
 
 
@@ -326,8 +187,8 @@ class TestSplitForJobs:
         assert len(split) <= total
 
     def test_exact_pinned_shape_unchanged(self):
-        """The shape test_batch.py pins — kept here as a regression
-        anchor for the scheduler-era splitter."""
+        """The shape test_batch.py pins, as a regression anchor for
+        the splitter."""
         one_group = [GridBatch("DSR-ODPM", 2.0, (1, 2, 3, 4, 5, 6))]
         assert [unit.seeds for unit in _split_for_jobs(one_group, 4)] == [
             (1, 2), (3, 4), (5,), (6,)
