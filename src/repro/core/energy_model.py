@@ -28,14 +28,16 @@ from repro.core.radio import RadioModel, RadioState
 class NodeEnergy:
     """Per-node energy ledger following Eqs. 1–3.
 
-    The simulator charges the ledger as the radio changes state; analytic code
-    may charge it directly via the ``charge_*`` methods.  All energies are in
-    joules, durations in seconds.
-
-    The ``charge_*`` methods are the single hottest call family in a run
-    (one call per radio state change, millions per simulated network
-    lifetime), so the class is slotted and the duration guard is inlined
-    rather than delegated.
+    The ``charge_*`` methods are the validated public API: the analytic
+    evaluator, the PSM's out-of-band ATIM charges and the runner call them,
+    and the PHY calls the transmit pair once per frame.  For idle, sleep and
+    receive residencies — millions per simulated network lifetime — the PHY
+    (:meth:`repro.sim.phy.Phy._charge_elapsed`) performs the same additions
+    on the fields in place, in the same order and with this ledger's
+    ``card``, so a change to how a ``charge_*`` method computes its energy
+    must be mirrored there.  All energies are in joules, durations in
+    seconds.  The class is slotted: the fields are written on every radio
+    state change.
     """
 
     card: RadioModel

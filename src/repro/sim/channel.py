@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro.core.radio import RadioState
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.state import NodeStateArrays
@@ -97,6 +98,11 @@ _SPATIAL_HASH_MIN_NODES = 768
 #: neighbor can be lost, and the handful of extra candidates are discarded
 #: by the exact check.
 _CANDIDATE_SLACK = 1e-9
+
+#: Radio states that miss a frame outright; compared by identity in the
+#: delivery loop.
+_SLEEP = RadioState.SLEEP
+_TRANSMIT = RadioState.TRANSMIT
 
 
 class ChannelGeometry:
@@ -866,19 +872,25 @@ class Channel:
             raise ValueError("transmission duration must be positive")
         self.transmissions_started += 1
         # Only radios that started tracking the frame get the end-of-frame
-        # upcall; sleeping/transmitting radios miss it entirely, so a PSM
-        # network does not pay per-frame bookkeeping for its sleepers.
+        # upcall.  Radios asleep or transmitting miss the frame outright
+        # (``Phy.rx_start`` would return False at once), so the channel
+        # reads their state slot and skips the call: a PSM network does not
+        # pay per-frame upcalls for its sleepers.
         model = self._filter
         if model is None:
             receivers = [
                 phy
                 for phy in self.in_reach(src, reach)
-                if phy.rx_start(packet, src)
+                if (state := phy._state) is not _SLEEP
+                and state is not _TRANSMIT
+                and phy.rx_start(packet, src)
             ]
         else:
             # A vetoed reception is silent at the receiver — below the
             # sensitivity floor, so it neither delivers nor holds carrier
-            # sense busy.  Candidate order stays registration order.
+            # sense busy.  Candidate order stays registration order.  The
+            # model is asked before the state test, deaf radios included:
+            # its per-link RNG draws must not depend on radio state.
             receivers = []
             for phy in self.in_reach(src, reach):
                 self.model_checks += 1
@@ -886,6 +898,9 @@ class Channel:
                     src, phy.node_id, self.distance(src, phy.node_id), reach
                 ):
                     self.model_drops += 1
+                    continue
+                state = phy._state
+                if state is _SLEEP or state is _TRANSMIT:
                     continue
                 if phy.rx_start(packet, src):
                     receivers.append(phy)

@@ -9,7 +9,7 @@ are always transmitted at maximum power, per Eq. 2 of the paper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -94,10 +94,26 @@ class Packet:
         return self.dst == BROADCAST
 
     def copy_for_hop(self, src: int, dst: int) -> "Packet":
-        """Clone the frame for the next hop, keeping end-to-end identity."""
-        clone = replace(self, src=src, dst=dst, uid=next(_packet_ids))
-        clone.hops_travelled = self.hops_travelled + 1
-        return clone
+        """Clone the frame for the next hop, keeping end-to-end identity.
+
+        A direct constructor call (``__post_init__`` still validates);
+        ``dataclasses.replace`` re-introspects the fields on every call.
+        """
+        return Packet(
+            kind=self.kind,
+            src=src,
+            dst=dst,
+            size_bytes=self.size_bytes,
+            origin=self.origin,
+            final_dst=self.final_dst,
+            flow_id=self.flow_id,
+            seqno=self.seqno,
+            payload=self.payload,
+            is_control=self.is_control,
+            uid=next(_packet_ids),
+            created_at=self.created_at,
+            hops_travelled=self.hops_travelled + 1,
+        )
 
 
 def make_data_packet(

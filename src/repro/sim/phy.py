@@ -18,12 +18,23 @@ Reception semantics (resolved here, signalled by the channel):
   receive state: that is both carrier sense and promiscuous overhearing cost.
 
 Performance notes: the PHY sits on the per-frame fan-out hot path — every
-transmission triggers ``rx_start``/``rx_end`` on every node in reach, which
-makes these methods (and the energy charge they perform per state change)
-the most-called code in a run.  The class is slotted, radio states are
-compared against module-level aliases, and the state-branch ladder that
-used to classify each charge is replaced by a per-state dispatch table
-built once in ``__init__``.
+transmission reaches every node in range, which makes ``rx_start`` and
+``rx_end`` (and the energy charge on each state change) the most-called
+code in a run.  The class is slotted, radio states are compared by
+identity against module-level aliases, and the ledger is charged inline:
+:meth:`Phy._charge_elapsed` branches on the state and performs the same
+``field += elapsed * card.p_x`` and ``state_time[state] += elapsed``
+additions, in the same order, as the validated
+:class:`~repro.core.energy_model.NodeEnergy` ``charge_*`` methods, and the
+idle→receive flip in :meth:`Phy.rx_start` and the receive charge in
+:meth:`Phy.rx_end` repeat that block in place.  Only transmit residencies
+(about one per frame) still go through ``charge_data_tx`` /
+``charge_control_tx``, which own the power-control lookup.  The channel
+does not call ``rx_start`` on radios that are asleep or transmitting, and
+``rx_end`` finishes the radio's only reception in one straight block;
+overlapping, missed and lost frames take the general path, which finds
+frames by identity (``Packet``'s generated ``__eq__`` compares every
+field, payload included).
 """
 
 from __future__ import annotations
@@ -81,7 +92,6 @@ class Phy:
         "_rx_packets",
         "_rx_corrupted",
         "_rx_missed",
-        "_chargers",
         "on_receive",
         "on_tx_done",
         "frames_sent",
@@ -121,20 +131,11 @@ class Phy:
         self._halt_energy = False
         self._tx_packet: Packet | None = None
         self._tx_distance: float | None = None
+        #: Frames being received; non-empty exactly when the state is
+        #: RECEIVE (every exit from RECEIVE clears it).
         self._rx_packets: list[Packet] = []
         self._rx_corrupted: set[int] = set()
         self._rx_missed: set[int] = set()
-
-        #: Per-state charge dispatch, replacing the old if/elif ladder in
-        #: the charge path.  IDLE and SLEEP charge the ledger directly; the
-        #: communication states need the active frame to classify the charge
-        #: as data or control (Eqs. 1–2).
-        self._chargers: dict[RadioState, Callable[[float], object]] = {
-            _IDLE: energy.charge_idle,
-            _SLEEP: energy.charge_sleep,
-            _TRANSMIT: self._charge_transmit,
-            _RECEIVE: self._charge_receive,
-        }
 
         #: Upcall: a frame survived reception (set by the MAC).
         self.on_receive: Callable[[Packet], None] = lambda packet: None
@@ -178,31 +179,42 @@ class Phy:
         state = self._state
         return state is _TRANSMIT or state is _RECEIVE
 
-    def _charge_transmit(self, elapsed: float) -> None:
-        """Charge a transmit-state residency by the frame on the air."""
-        packet = self._tx_packet
-        assert packet is not None
-        if packet.is_control:
-            self.energy.charge_control_tx(elapsed)
-        else:
-            self.energy.charge_data_tx(elapsed, self._tx_distance)
-
-    def _charge_receive(self, elapsed: float) -> None:
-        """Charge a receive-state residency by the frame that started it."""
-        rx_packets = self._rx_packets
-        if rx_packets and not rx_packets[0].is_control:
-            self.energy.charge_data_rx(elapsed)
-        else:
-            self.energy.charge_control_rx(elapsed)
-
     def _charge_elapsed(self) -> None:
-        """Charge the ledger for time spent in the current state."""
+        """Charge the ledger for time spent in the current state.
+
+        Each branch performs the additions of the matching
+        :class:`~repro.core.energy_model.NodeEnergy` ``charge_*`` method,
+        with the ledger's own card, in the same order — the results are
+        bit-identical to calling it.  A receive residency is classified by
+        the frame that started it (Eqs. 1–2).
+        """
         now = self.sim.now
         elapsed = now - self._state_since
         self._state_since = now
         if elapsed <= 0:
             return
-        self._chargers[self._state](elapsed)
+        state = self._state
+        ledger = self.energy
+        if state is _IDLE:
+            ledger.idle += elapsed * ledger.card.p_idle
+            ledger.state_time[_IDLE] += elapsed
+        elif state is _SLEEP:
+            ledger.sleep += elapsed * ledger.card.p_sleep
+            ledger.state_time[_SLEEP] += elapsed
+        elif state is _RECEIVE:
+            rx_packets = self._rx_packets
+            if rx_packets and not rx_packets[0].is_control:
+                ledger.data_rx += elapsed * ledger.card.p_rx
+            else:
+                ledger.control_rx += elapsed * ledger.card.p_rx
+            ledger.state_time[_RECEIVE] += elapsed
+        else:
+            packet = self._tx_packet
+            assert packet is not None
+            if packet.is_control:
+                ledger.charge_control_tx(elapsed)
+            else:
+                ledger.charge_data_tx(elapsed, self._tx_distance)
 
     def _set_state(self, state: RadioState) -> None:
         self._charge_elapsed()
@@ -353,7 +365,17 @@ class Phy:
                     corrupted.add(other.uid)
                 corrupted.add(packet.uid)
         else:
-            self._set_state(_RECEIVE)
+            # An awake radio with no reception in progress is idle: charge
+            # the idle residency (NodeEnergy.charge_idle's additions) and
+            # flip to receive.
+            now = self.sim.now
+            elapsed = now - self._state_since
+            self._state_since = now
+            if elapsed > 0:
+                ledger = self.energy
+                ledger.idle += elapsed * ledger.card.p_idle
+                ledger.state_time[_IDLE] += elapsed
+            self._state = _RECEIVE
         rx_packets.append(packet)
         return True
 
@@ -398,25 +420,39 @@ class Phy:
             missed.discard(uid)
             return
         rx_packets = self._rx_packets
-        state = self._state
-        receiving = packet in rx_packets
-        if state is _RECEIVE and receiving:
-            # Charge the receive period now, while the frame is still in the
-            # list, so the energy is classified by the right packet kind.
-            self._charge_elapsed()
-        if not receiving:
-            # Lost mid-frame to sleep or our own transmission.
-            self._rx_corrupted.discard(uid)
-            return
-        rx_packets.remove(packet)
-        corrupted_set = self._rx_corrupted
-        corrupted = uid in corrupted_set
-        corrupted_set.discard(uid)
-        if not rx_packets and state is _RECEIVE:
-            # The receive period was charged above (same instant), so the
-            # state flip skips `_set_state`'s zero-elapsed charge call.
+        if len(rx_packets) == 1 and rx_packets[0] is packet:
+            # The radio's only reception (the common case): charge the
+            # receive period by this frame's kind (NodeEnergy.charge_*_rx's
+            # additions) and go idle.
+            now = self.sim.now
+            elapsed = now - self._state_since
+            self._state_since = now
+            if elapsed > 0:
+                ledger = self.energy
+                if packet.is_control:
+                    ledger.control_rx += elapsed * ledger.card.p_rx
+                else:
+                    ledger.data_rx += elapsed * ledger.card.p_rx
+                ledger.state_time[_RECEIVE] += elapsed
+            rx_packets.clear()
             self._state = _IDLE
-        if corrupted:
+        else:
+            # Overlapping receptions: find the frame by identity.
+            for index, rx in enumerate(rx_packets):
+                if rx is packet:
+                    break
+            else:
+                # Lost mid-frame to sleep or our own transmission.
+                self._rx_corrupted.discard(uid)
+                return
+            # Charge the receive period now, while the frame is still in
+            # the list, so the energy is classified by the right packet
+            # kind.  Other frames remain, so the radio stays in receive.
+            self._charge_elapsed()
+            del rx_packets[index]
+        corrupted_set = self._rx_corrupted
+        if uid in corrupted_set:
+            corrupted_set.discard(uid)
             return
         self.frames_received += 1
         self.on_receive(packet)

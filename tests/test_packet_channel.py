@@ -1,5 +1,7 @@
 """Tests for packet construction and channel geometry/propagation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.energy_model import NodeEnergy
@@ -51,6 +53,36 @@ class TestPacket:
         assert clone.src == 2 and clone.dst == 3
         assert clone.uid != packet.uid
         assert clone.hops_travelled == packet.hops_travelled + 1
+
+    def test_copy_for_hop_copies_every_field_and_draws_the_next_uid(self):
+        packet = Packet(
+            kind=PacketKind.ROUTING,
+            src=4,
+            dst=5,
+            size_bytes=90,
+            origin=4,
+            final_dst=8,
+            flow_id=3,
+            seqno=11,
+            payload={"table": [1, 2]},
+            created_at=2.5,
+            hops_travelled=2,
+        )
+        clone = packet.copy_for_hop(src=5, dst=6)
+        following = Packet(kind=PacketKind.RTS, src=1, dst=2, size_bytes=20)
+        changed = {"src": 5, "dst": 6, "uid": packet.uid + 1, "hops_travelled": 3}
+        for spec in fields(Packet):
+            expected = changed.get(spec.name, getattr(packet, spec.name))
+            assert getattr(clone, spec.name) == expected, spec.name
+        assert clone.payload is packet.payload
+        # One uid drawn per clone, in call order.
+        assert following.uid == clone.uid + 1
+
+    def test_copy_for_hop_keeps_validation(self):
+        data = make_data_packet(origin=1, final_dst=9, src=1, dst=2)
+        data.is_control = True
+        # __post_init__ runs on the clone: DATA frames are never control.
+        assert data.copy_for_hop(src=2, dst=3).is_control is False
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
